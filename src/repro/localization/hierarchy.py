@@ -45,6 +45,11 @@ from repro.obs import trace as obs_trace
 from repro.reconstruction.rings import RingSet
 
 
+#: Size (rings x cells) of the ``sigma^2`` scratch block of
+#: :func:`evaluate_cells`: 128 KiB of float64.
+_SCRATCH_ELEMENTS = 16384
+
+
 @dataclass(frozen=True)
 class SkymapConfig:
     """Parameters of the hierarchical sky search.
@@ -268,13 +273,24 @@ def evaluate_cells(
         ``(log_like, log_post)`` arrays of shape ``(num_cells,)``; both
         are unnormalized (constant offsets drop out on normalization).
     """
-    resid = rings.axis @ cells.centers().T - rings.eta[:, None]
-    sigma2 = (
-        rings.deta[:, None] ** 2 + cells.half_widths_rad()[None, :] ** 2
-    )
-    chi2 = resid * resid / sigma2  # reprolint: disable=NUM002 -- deta is floored at DETA_FLOOR and half-widths are non-negative, so sigma2 > 0
+    # One (rings, cells) buffer is squared, scaled and capped in place:
+    # the textbook ``resid * resid / sigma2`` bit for bit.  ``sigma2`` is
+    # formed a block of rings at a time in a small scratch, so no second
+    # (rings, cells) array is allocated (and page-faulted) per call.
+    chi2 = rings.axis @ cells.centers().T
+    chi2 -= rings.eta[:, None]
+    np.multiply(chi2, chi2, out=chi2)
+    deta2 = rings.deta[:, None] ** 2
+    half2 = cells.half_widths_rad() ** 2
+    rows = max(1, _SCRATCH_ELEMENTS // max(cells.num_cells, 1))
+    scratch = np.empty((min(rows, rings.num_rings), cells.num_cells))
+    for lo in range(0, rings.num_rings, rows):
+        block = chi2[lo : lo + rows]
+        sigma2 = scratch[: block.shape[0]]
+        np.add(deta2[lo : lo + rows], half2, out=sigma2)
+        np.divide(block, sigma2, out=block)  # reprolint: disable=NUM002 -- deta is floored at DETA_FLOOR and half-widths are non-negative, so sigma2 > 0
     if cap is not None:
-        chi2 = np.minimum(chi2, cap)
+        np.minimum(chi2, cap, out=chi2)
     log_like = -0.5 * chi2.sum(axis=0) / temperature  # reprolint: disable=NUM002 -- temperature > 0 enforced by SkymapConfig; bare floats are caller-validated
     log_post = log_like + np.log(cells.areas_sr())  # reprolint: disable=NUM001 -- cell areas strictly positive: bands and azimuth slots are non-degenerate by construction
     return log_like, log_post

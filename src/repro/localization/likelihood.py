@@ -39,7 +39,10 @@ def capped_chi_square(
     """Summed chi-square per direction with per-ring influence capped.
 
     Capping (a truncated-quadratic robust loss) keeps background rings from
-    dominating the approximation stage.
+    dominating the approximation stage.  Axes and ``eta`` are pre-scaled by
+    ``1/d eta`` once per call, so the normalized residuals are formed,
+    squared and capped in a single ``(d, m)`` buffer (equal to
+    ``min(ring_chi_square, cap).sum(0)`` up to rounding).
 
     Args:
         rings: ``m`` rings.
@@ -49,8 +52,13 @@ def capped_chi_square(
     Returns:
         ``(d,)`` capped chi-square sums.
     """
-    chi2 = ring_chi_square(rings, np.atleast_2d(directions))
-    return np.minimum(chi2, cap).sum(axis=0)
+    dirs = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+    inv_deta = 1.0 / rings.deta  # reprolint: disable=NUM002 -- RingSet.deta is floored at DETA_FLOOR by reconstruction.error_propagation
+    chi2 = dirs @ (rings.axis * inv_deta[:, None]).T
+    chi2 -= rings.eta * inv_deta
+    np.square(chi2, out=chi2)
+    np.minimum(chi2, cap, out=chi2)
+    return chi2.sum(axis=1)
 
 
 def joint_log_likelihood(rings: RingSet, direction: np.ndarray) -> float:

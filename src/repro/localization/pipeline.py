@@ -92,7 +92,6 @@ def localize_rings(
     rng: np.random.Generator,
     config: BaselineConfig | None = None,
     initial: np.ndarray | None = None,
-    reseed: bool = False,
     skymap: SkymapConfig | None = None,
 ) -> LocalizationOutcome:
     """Approximate + refine over a prepared ring set.
@@ -102,11 +101,7 @@ def localize_rings(
         rng: Random generator (approximation sampling).
         config: Pipeline parameters.
         initial: Optional seed direction; approximation is skipped when
-            provided (unless ``reseed``).
-        reseed: With ``initial``, also run the approximation stage and
-            refine from both the fresh seeds and ``initial`` — used by the
-            ML iteration so a cleaned ring set can pull the estimate out
-            of a wrong basin instead of only polishing it.
+            provided.
         skymap: When set, also run the hierarchical sky search over
             ``rings`` and attach the posterior map (with 68/90% credible
             regions) to the outcome's ``sky`` field.
@@ -124,10 +119,9 @@ def localize_rings(
             iterations=0,
             converged=False,
         )
-    seed_list: list[np.ndarray] = []
     if initial is not None:
-        seed_list.append(np.asarray(initial, dtype=np.float64))
-    if initial is None or reseed:
+        seeds = np.atleast_2d(np.asarray(initial, dtype=np.float64))
+    else:
         with obs_trace.span("localize.approximate"):
             found = approximate_source(
                 rings,
@@ -136,17 +130,15 @@ def localize_rings(
                 n_azimuth=cfg.approx_n_azimuth,
                 top_k=cfg.num_seeds,
             )
-        if found is not None:
-            seed_list.extend(np.atleast_2d(found))
-    if not seed_list:
-        return LocalizationOutcome(
-            direction=None,
-            rings=rings,
-            used=np.zeros(rings.num_rings, dtype=bool),
-            iterations=0,
-            converged=False,
-        )
-    seeds = np.atleast_2d(np.asarray(seed_list))
+        if found is None:
+            return LocalizationOutcome(
+                direction=None,
+                rings=rings,
+                used=np.zeros(rings.num_rings, dtype=bool),
+                iterations=0,
+                converged=False,
+            )
+        seeds = np.atleast_2d(found)
 
     # Refine every seed, then score all refined candidates with a single
     # batched capped-chi-square evaluation (one (m, k) residual matrix

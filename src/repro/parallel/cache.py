@@ -31,7 +31,10 @@ from repro.obs import trace as obs_trace
 DEFAULT_CACHE_DIR = Path(__file__).resolve().parents[3] / ".campaign_cache"
 
 #: Bump to invalidate every existing entry when stored semantics change.
-CACHE_SCHEMA_VERSION = 1
+#: Trial sets are keyed by configuration only, so a change that moves
+#: results (version 2: the scalar refinement solve and the pre-scaled
+#: capped chi-square moved errors at the ulp level) must bump this.
+CACHE_SCHEMA_VERSION = 2
 
 
 def _feed(h, obj) -> None:

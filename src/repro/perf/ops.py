@@ -3,7 +3,8 @@
 One entry per hot kernel, at the paper's workload shape: the
 first-background-iteration ring block (597 rows — see
 ``fpga.PAPER_NUM_RINGS``) pushed through the widest background-net
-stage (13 -> 256).  Importing this module populates the registry in
+stage (13 -> 256), and the localization kernels (approximate/refine,
+sky search) over a synthetic ring block of the same size.  Importing this module populates the registry in
 :mod:`repro.perf.registry`; ``repro.perf`` does so on import.
 
 Workloads are built deterministically (fixed seeds) inside each
@@ -179,6 +180,34 @@ def _ring_block(n: int = BLOCK_ROWS):
         ordering_correct=np.ones(n, dtype=bool),
         source_direction=source,
     )
+
+
+@register("localization_refine_block597", op="localization.refine_source")
+def _bench_refine_source():
+    # One refinement call of the approximate/refine step: gate-and-solve
+    # rounds over the paper-shaped ring block from a seed ~4 degrees off
+    # the source.  rows = rings per call.
+    from repro.localization.refinement import refine_source
+
+    rings = _ring_block()
+    start = rings.source_direction + np.array([0.05, 0.03, -0.02])
+    return (lambda: refine_source(rings, start)), rings.num_rings
+
+
+@register("localization_capped_chi2_block597", op="localization.capped_chi_square")
+def _bench_capped_chi_square():
+    # Approximation-stage scoring: the above-horizon cone candidates of 12
+    # sampled rings (72 azimuths each) against every ring of the block.
+    # rows = candidates scored per call.
+    from repro.localization.approximation import HORIZON_MIN_Z, cone_points
+    from repro.localization.likelihood import capped_chi_square
+
+    rings = _ring_block()
+    candidates = cone_points(rings.axis[:12], rings.eta[:12], 72)
+    candidates = candidates[candidates[:, 2] >= HORIZON_MIN_Z]
+    return (
+        lambda: capped_chi_square(rings, candidates, cap=4.0)
+    ), candidates.shape[0]
 
 
 @register("skymap_evaluate_coarse8deg", op="skymap.evaluate_cells")

@@ -96,9 +96,13 @@ def plan_op_names() -> frozenset[str]:
 #: requires benchmarks for, by subsystem-qualified name.  The skymap
 #: entries are the hierarchical sky search's two kernels (level
 #: evaluation and the split-evaluate-merge refine step) — the cost the
-#: Fig.-6 loop pays per emitted confidence region.
+#: Fig.-6 loop pays per emitted confidence region.  The localization
+#: entries are the approximate/refine step the loop repeats every
+#: iteration: robust refinement and capped chi-square scoring.
 EXTRA_REQUIRED_OPS = frozenset(
     {
+        "localization.capped_chi_square",
+        "localization.refine_source",
         "skymap.evaluate_cells",
         "skymap.refine_level",
     }

@@ -52,8 +52,9 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.models.features import (
     azimuth_angle_of,
-    extract_features,
+    features_from_block,
     polar_angle_of,
+    ring_feature_block,
 )
 from repro.reconstruction.rings import RingSet
 
@@ -147,22 +148,21 @@ class MLPipeline:
     deta_net: DEtaNet
     config: MLPipelineConfig = field(default_factory=MLPipelineConfig)
 
-    def _classify_background(
-        self, rings: RingSet, events: EventSet, s_hat: np.ndarray
-    ):
-        """Background mask over ``rings`` at a given direction estimate.
+    def _classify_background(self, block: np.ndarray, s_hat: np.ndarray):
+        """Background mask over the rings of ``block`` at an estimate.
 
-        A generator: yields one ``InferRequest`` for the ring features
-        and receives the per-ring background probabilities from whatever
-        engine is driving the loop; returns the boolean mask.  The
-        probabilities are evaluated once and reused for the ``min_rings``
-        fallback (bit-identical to thresholding and re-predicting — the
-        features are unchanged).
+        ``block`` is the rings' :func:`ring_feature_block`, built once
+        per alert; only the azimuth rotation and the polar column are
+        redone per call.  A generator: yields one ``InferRequest`` for
+        the ring features and receives the per-ring background
+        probabilities from whatever engine is driving the loop; returns
+        the boolean mask.  The probabilities are evaluated once and
+        reused for the ``min_rings`` fallback (bit-identical to
+        thresholding and re-predicting — the features are unchanged).
         """
         polar_deg = polar_angle_of(s_hat)
-        feats = extract_features(
-            rings,
-            events,
+        feats = features_from_block(
+            block,
             polar_guess_deg=polar_deg,
             include_polar=self.background_net.include_polar,
             azimuth_deg=azimuth_angle_of(s_hat),
@@ -170,10 +170,11 @@ class MLPipeline:
         prob = yield InferRequest("background", feats)
         polar = np.full(prob.shape[0], float(polar_deg))
         mask = self.background_net.thresholds.classify(prob, polar)
-        if (~mask).sum() < self.config.min_rings and rings.num_rings > 0:
+        m = block.shape[0]
+        if (~mask).sum() < self.config.min_rings and m > 0:
             order = np.argsort(prob)
-            mask = np.ones(rings.num_rings, dtype=bool)
-            mask[order[: min(self.config.min_rings, rings.num_rings)]] = False
+            mask = np.ones(m, dtype=bool)
+            mask[order[: min(self.config.min_rings, m)]] = False
         return mask
 
     def _skymap(self, rings: RingSet) -> SkyMap | None:
@@ -190,7 +191,7 @@ class MLPipeline:
     def _iterate(
         self,
         all_rings: RingSet,
-        events: EventSet,
+        block: np.ndarray,
         seed_direction: np.ndarray,
         rng: np.random.Generator,
         halt_after: int | None,
@@ -198,11 +199,12 @@ class MLPipeline:
         """One Fig. 6 background-rejection iteration chain from one seed.
 
         A generator (network evaluations arrive via ``yield from``);
-        returns (final s_hat, survivors, iterations, converged,
-        intermediate directions).
+        returns (final s_hat, survivor mask over ``all_rings``,
+        survivors, iterations, converged, intermediate directions).
         """
         cfg = self.config
         s_hat = np.asarray(seed_direction, dtype=np.float64)
+        keep = np.ones(all_rings.num_rings, dtype=bool)
         survivors = all_rings
         intermediates: list[np.ndarray] = []
         converged = False
@@ -210,10 +212,9 @@ class MLPipeline:
         for iterations in range(1, cfg.max_iterations + 1):
             obs_metrics.inc("ml.iterations")
             with obs_trace.span("ml.iteration"):
-                bkg_mask = yield from self._classify_background(
-                    all_rings, events, s_hat
-                )
-                survivors = all_rings.select(~bkg_mask)
+                bkg_mask = yield from self._classify_background(block, s_hat)
+                keep = ~bkg_mask
+                survivors = all_rings.select(keep)
                 outcome = localize_rings(
                     survivors, rng, cfg.baseline, initial=s_hat
                 )
@@ -238,7 +239,7 @@ class MLPipeline:
                 if predicted <= cfg.accuracy_target_deg:
                     converged = True
                     break
-        return s_hat, survivors, iterations, converged, intermediates
+        return s_hat, keep, survivors, iterations, converged, intermediates
 
     def localize_requests(
         self,
@@ -279,6 +280,10 @@ class MLPipeline:
                 intermediate_directions=[],
             )
 
+        # Direction-independent ring features, shared by every background
+        # classification and the dEta stage of this alert.
+        block = ring_feature_block(all_rings, events)
+
         # Hypothesis seeds: the baseline estimate plus the approximation
         # stage's top mutually-separated candidate basins.
         seeds: list[np.ndarray] = [initial.direction]
@@ -302,7 +307,7 @@ class MLPipeline:
         best_score = np.inf
         for seed_dir in seeds:
             result = yield from self._iterate(
-                all_rings, events, seed_dir, rng, halt_after
+                all_rings, block, seed_dir, rng, halt_after
             )
             score = float(
                 capped_chi_square(all_rings, result[0][None, :], cap=4.0)[0]
@@ -311,14 +316,12 @@ class MLPipeline:
                 best_score = score
                 best = result
         assert best is not None
-        s_hat, survivors, iterations, converged, intermediates = best
+        s_hat, keep, survivors, iterations, converged, intermediates = best
 
         removed = all_rings.num_rings - survivors.num_rings
         removed_correct = 0
         if removed > 0:
-            bkg_mask = yield from self._classify_background(
-                all_rings, events, s_hat
-            )
+            bkg_mask = yield from self._classify_background(block, s_hat)
             removed_correct = int(np.sum(bkg_mask & (all_rings.labels == 1)))
 
         if halt_after is not None and not converged:
@@ -336,9 +339,8 @@ class MLPipeline:
         # dEta stage: overwrite survivors' ring widths, re-localize from
         # the last estimate.
         if survivors.num_rings > 0:
-            feats = extract_features(
-                survivors,
-                events,
+            feats = features_from_block(
+                block[keep],
                 polar_guess_deg=polar_angle_of(s_hat),
                 include_polar=self.deta_net.include_polar,
                 azimuth_deg=azimuth_angle_of(s_hat),

@@ -48,6 +48,30 @@ def rings(events):
 
 
 @pytest.fixture(scope="session")
+def alert_pool(geometry, response):
+    """16 alert-recipe exposures: 0.6 MeV/cm^2 at polar 30, random azimuth.
+
+    The recipe of the ``alert_skymap`` benchmark pool (default
+    atmospheric background, one generator per exposure), as
+    ``(events, rings)`` pairs.
+    """
+    pool = []
+    for k in range(16):
+        rng = np.random.default_rng([2024, 1, k])
+        grb = GRBSource(
+            fluence_mev_cm2=0.6,
+            polar_angle_deg=30.0,
+            azimuth_deg=float(rng.uniform(0.0, 360.0)),
+        )
+        exposure = simulate_exposure(geometry, rng, grb, BackgroundModel())
+        events = response.digitize(
+            exposure.transport, exposure.batch, rng, min_hits=2
+        )
+        pool.append((events, prepare_rings(events)))
+    return pool
+
+
+@pytest.fixture(scope="session")
 def training_data(geometry, response):
     """A small training campaign (3 angles, few exposures) for model tests."""
     from repro.experiments.datasets import generate_training_rings

@@ -17,6 +17,17 @@ from tests.localization.test_approximation import synthetic_rings
 HEMISPHERE_SR = 2.0 * np.pi * (1.0 - np.cos(np.deg2rad(95.0)))
 
 
+def oracle_evaluate_cells(rings, cells, cap=25.0, temperature=1.0):
+    """The textbook cell-scoring expression (fresh temporaries per step)."""
+    resid = rings.axis @ cells.centers().T - rings.eta[:, None]
+    sigma2 = rings.deta[:, None] ** 2 + cells.half_widths_rad()[None, :] ** 2
+    chi2 = resid * resid / sigma2
+    if cap is not None:
+        chi2 = np.minimum(chi2, cap)
+    log_like = -0.5 * chi2.sum(axis=0) / temperature
+    return log_like, log_like + np.log(cells.areas_sr())
+
+
 def _unit(v):
     v = np.asarray(v, dtype=np.float64)
     return v / np.linalg.norm(v)
@@ -220,3 +231,37 @@ class TestEvaluateCells:
         kept = cells.select(mask)
         assert kept.num_cells == 5
         assert np.allclose(kept.theta_lo, cells.theta_lo[:5])
+
+
+class TestEvaluateCellsBitwise:
+    """The in-place scoring equals the textbook expression bit for bit."""
+
+    @pytest.mark.parametrize("cap", [None, 25.0])
+    @pytest.mark.parametrize("temperature", [1.0, 2.5])
+    def test_cells_match_expression(self, alert_pool, cap, temperature):
+        coarse = coarse_cells(8.0, 95.0)
+        children = coarse.select(np.arange(coarse.num_cells) < 40).split()
+        mixed = CellSet(
+            *(
+                np.concatenate([getattr(coarse, f), getattr(children, f)])
+                for f in ("theta_lo", "theta_hi", "phi_lo", "phi_hi")
+            )
+        )
+        for _, rings in alert_pool:
+            got = evaluate_cells(rings, mixed, cap, temperature)
+            want = oracle_evaluate_cells(rings, mixed, cap, temperature)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_maps_match_expression(self, alert_pool, monkeypatch):
+        """Whole 0.25-degree maps are unchanged, leaf for leaf."""
+        import repro.localization.hierarchy as hierarchy
+
+        cfg = SkymapConfig(resolution_deg=0.25)
+        maps = [hierarchical_skymap(rings, cfg).sky for _, rings in alert_pool]
+        monkeypatch.setattr(hierarchy, "evaluate_cells", oracle_evaluate_cells)
+        for (_, rings), sky in zip(alert_pool, maps):
+            want = hierarchical_skymap(rings, cfg).sky
+            np.testing.assert_array_equal(sky.grid.directions, want.grid.directions)
+            np.testing.assert_array_equal(sky.log_likelihood, want.log_likelihood)
+            np.testing.assert_array_equal(sky.probability, want.probability)

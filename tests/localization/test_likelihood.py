@@ -65,6 +65,28 @@ class TestCappedChiSquare:
         # Residuals 0 and 1 -> chi2 0 and 4 (capped at 9).
         assert capped_chi_square(rings, s, cap=9.0)[0] == pytest.approx(4.0)
 
+    def test_matches_capped_ring_chi_square(self, alert_pool):
+        """Pre-scaled scoring equals the per-ring expression to rounding,
+        on approximation-shaped candidate sets."""
+        from repro.localization.approximation import HORIZON_MIN_Z, cone_points
+
+        for _, rings in alert_pool:
+            candidates = cone_points(rings.axis[:12], rings.eta[:12], 72)
+            candidates = candidates[candidates[:, 2] >= HORIZON_MIN_Z]
+            for cap in (4.0, 9.0):
+                got = capped_chi_square(rings, candidates, cap=cap)
+                want = np.minimum(ring_chi_square(rings, candidates), cap).sum(0)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_single_direction(self):
+        rings = make_rings([[0, 0, 1], [1, 0, 0]], [0.3, 0.4], [0.1, 0.2])
+        s = np.array([0.0, 0.6, 0.8])
+        got = capped_chi_square(rings, s)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(
+            np.minimum(ring_chi_square(rings, s), 9.0).sum(), rel=1e-12
+        )
+
 
 class TestJointLogLikelihood:
     def test_higher_at_true_source(self):

@@ -41,13 +41,6 @@ class TestLocalizeRings:
         out = localize_rings(rings, np.random.default_rng(1), initial=s0)
         assert out.direction is not None
 
-    def test_reseed_explores_fresh_seeds(self, rings):
-        s0 = np.array([1.0, 0.0, 0.0])  # deliberately bad
-        out = localize_rings(
-            rings, np.random.default_rng(2), initial=s0, reseed=True
-        )
-        assert out.direction is not None
-
 
 class TestLocalizeBaseline:
     def test_localizes_standard_exposure(self, events, exposure):

@@ -43,6 +43,15 @@ class TestConfigToken:
     def test_dict_key_order_irrelevant(self):
         assert config_token({"a": 1, "b": 2}) == config_token({"b": 2, "a": 1})
 
+    def test_sensitive_to_schema_version(self, monkeypatch):
+        import repro.parallel.cache as cache_mod
+
+        current = config_token(42, 10, FakeConfig())
+        monkeypatch.setattr(
+            cache_mod, "CACHE_SCHEMA_VERSION", cache_mod.CACHE_SCHEMA_VERSION - 1
+        )
+        assert config_token(42, 10, FakeConfig()) != current
+
 
 class TestStageCache:
     def test_miss_then_hit(self, tmp_path):
