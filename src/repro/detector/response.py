@@ -118,6 +118,19 @@ class EventSet:
         """``(n_events,)`` hit multiplicity of each event."""
         return np.diff(self.event_offsets)
 
+    def sum_per_event(self, values: np.ndarray) -> np.ndarray:
+        """``(n_events,)`` sums of a per-hit quantity over each event's hits.
+
+        ``np.bincount`` adds each event's hits in hit order starting from
+        0.0, as ``np.add.at`` does, so the sums are the same bit for bit.
+
+        Args:
+            values: ``(num_hits,)`` per-hit values, e.g. ``energies``.
+        """
+        n = self.num_events
+        segment = np.repeat(np.arange(n), self.hits_per_event())
+        return np.bincount(segment, weights=values, minlength=n)
+
     def event_slice(self, i: int) -> slice:
         """Slice of the flat hit arrays belonging to event ``i``."""
         return slice(int(self.event_offsets[i]), int(self.event_offsets[i + 1]))
@@ -374,10 +387,17 @@ class DetectorResponse:
         # Group id increments where we do NOT merge.
         group = np.concatenate([[0], np.cumsum(~merge_with_prev)])
         n_groups = group[-1] + 1
-        e_sum = np.zeros(n_groups)
-        np.add.at(e_sum, group, edep)
-        w_pos = np.zeros((n_groups, 3))
-        np.add.at(w_pos, group, pos * edep[:, None])
+        # bincount adds in hit order, as np.add.at does: the same sums bit
+        # for bit.
+        e_sum = np.bincount(group, weights=edep, minlength=n_groups)
+        weighted = pos * edep[:, None]
+        w_pos = np.stack(
+            [
+                np.bincount(group, weights=weighted[:, axis], minlength=n_groups)
+                for axis in range(3)
+            ],
+            axis=1,
+        )
         with np.errstate(invalid="ignore"):
             w_pos /= e_sum[:, None]
         first_of_group = np.concatenate([[True], ~merge_with_prev])

@@ -2,16 +2,24 @@
 
 The detector is a stack of horizontal scintillator slabs (``Layer``)
 separated by gaps.  Photon transport (``repro.physics.transport``) needs
-fast, vectorized answers to two questions:
+fast, vectorized answers to three questions:
 
-1. Given a point and a direction, which slab boundary is crossed next and at
-   what path length? (``DetectorGeometry.next_boundary``)
-2. Is a point inside active scintillator? (``DetectorGeometry.layer_index``)
+1. Over which path lengths is a ray inside each slab?
+   (``DetectorGeometry.segment_intersections``)
+2. Does a ray cross the stack's bounding box at all?
+   (``DetectorGeometry.box_intersections``)
+3. Is a point inside active scintillator? (``DetectorGeometry.layer_index``)
 
 The stack is axis-aligned: layers are normal to z, with the top layer first.
 Coordinates are in cm; the detector is centered on the z axis with its top
 face at ``z = 0`` and extends downward (negative z), matching the convention
 that a normally-incident GRB photon travels in direction ``(0, 0, -1)``.
+
+``DetectorGeometry`` enforces the invariants the transport walk relies on:
+layers are listed top-first, do not overlap in z (touching is allowed),
+and share one lateral ``half_size``.  So along any ray the slab intervals
+are ordered by z, every slab lies inside the box spanned by the outer
+layers' faces, and one lateral interval per ray serves every layer.
 """
 
 from __future__ import annotations
@@ -58,16 +66,27 @@ class DetectorGeometry:
     """
 
     layers: tuple[Layer, ...]
-    #: Sorted array of every slab face z coordinate, descending.
+    #: Sorted array of every slab face z coordinate, descending.  The
+    #: invariants make it ``(top_0, bottom_0, top_1, bottom_1, ...)``.
     _z_faces: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        faces = []
-        for layer in self.layers:
-            faces.append(layer.z_top)
-            faces.append(layer.z_bottom)
+        if not self.layers:
+            raise ValueError("a detector needs at least one layer")
+        tops = [layer.z_top for layer in self.layers]
+        bottoms = [layer.z_bottom for layer in self.layers]
+        if not all(bottom < top for top, bottom in zip(tops, bottoms)):
+            raise ValueError("every layer needs z_bottom < z_top")
+        if not all(lower < upper for upper, lower in zip(tops, tops[1:])):
+            raise ValueError("layers must be listed top-first")
+        if not all(top <= bottom for bottom, top in zip(bottoms, tops[1:])):
+            raise ValueError("layers overlap in z")
+        if len({layer.half_size for layer in self.layers}) != 1:
+            raise ValueError("layers must share one half_size")
         object.__setattr__(
-            self, "_z_faces", np.asarray(sorted(faces, reverse=True), dtype=np.float64)
+            self,
+            "_z_faces",
+            np.asarray(sorted(tops + bottoms, reverse=True), dtype=np.float64),
         )
 
     # -- basic extents -------------------------------------------------------
@@ -78,8 +97,8 @@ class DetectorGeometry:
 
     @property
     def half_size(self) -> float:
-        """Lateral half-extent of the widest layer (cm)."""
-        return max(layer.half_size for layer in self.layers)
+        """Lateral half-extent shared by every layer (cm)."""
+        return self.layers[0].half_size
 
     @property
     def z_top(self) -> float:
@@ -151,57 +170,101 @@ class DetectorGeometry:
 
         For every ray and every layer, computes the parametric interval
         ``[t_in, t_out]`` (cm) over which the ray is inside that slab,
-        intersected with the lateral extent.  Intervals are empty
-        (``t_in >= t_out``) when the ray misses the slab.
+        intersected with the lateral extent and clipped below at
+        ``t = 0``.  Intervals are empty (``t_in >= t_out``) when the ray
+        misses the slab.
 
         Args:
             origins: ``(n, 3)`` ray origins.
             directions: ``(n, 3)`` unit ray directions.
 
         Returns:
-            Tuple ``(t_in, t_out)``, each ``(n, num_layers)``.
+            Tuple ``(t_in, t_out)``, each ``(n, num_layers)``: transposed
+            views of layer-major arrays, so each layer's column is
+            contiguous.
         """
-        origins = np.atleast_2d(origins).astype(np.float64)
-        directions = np.atleast_2d(directions).astype(np.float64)
-        n = origins.shape[0]
-        nl = self.num_layers
-        t_in = np.full((n, nl), np.inf)
-        t_out = np.full((n, nl), -np.inf)
+        t_in, t_out = self._stack_intervals(
+            origins, directions, self._z_faces[0::2], self._z_faces[1::2]
+        )
+        return t_in.T, t_out.T
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for j, layer in enumerate(self.layers):
-                lo = np.zeros(n)
-                hi = np.full(n, np.inf)
-                # z slab
-                dz = directions[:, 2]
-                oz = origins[:, 2]
-                t1 = (layer.z_top - oz) / dz
-                t2 = (layer.z_bottom - oz) / dz
-                tz_lo = np.minimum(t1, t2)
-                tz_hi = np.maximum(t1, t2)
-                parallel = np.abs(dz) < 1e-300
-                inside_z = layer.contains_z(oz)
-                tz_lo = np.where(parallel, np.where(inside_z, 0.0, np.inf), tz_lo)
-                tz_hi = np.where(parallel, np.where(inside_z, np.inf, -np.inf), tz_hi)
-                lo = np.maximum(lo, tz_lo)
-                hi = np.minimum(hi, tz_hi)
-                # lateral slabs
-                for axis in (0, 1):
-                    d = directions[:, axis]
-                    o = origins[:, axis]
-                    t1 = (layer.half_size - o) / d
-                    t2 = (-layer.half_size - o) / d
-                    ta = np.minimum(t1, t2)
-                    tb = np.maximum(t1, t2)
-                    parallel = np.abs(d) < 1e-300
-                    inside_a = np.abs(o) <= layer.half_size
-                    ta = np.where(parallel, np.where(inside_a, 0.0, np.inf), ta)
-                    tb = np.where(parallel, np.where(inside_a, np.inf, -np.inf), tb)
-                    lo = np.maximum(lo, ta)
-                    hi = np.minimum(hi, tb)
-                t_in[:, j] = lo
-                t_out[:, j] = hi
+    def box_intersections(
+        self, origins: np.ndarray, directions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Entry/exit path lengths of rays through the stack's bounding box.
+
+        The box is spanned by the top layer's upper face, the bottom
+        layer's lower face and the shared lateral extent.  Rounding is
+        monotone, so every :meth:`segment_intersections` interval lies
+        inside this one, bit for bit: a ray whose box interval is empty
+        (beyond ``t = 0``) crosses no slab.
+
+        Args:
+            origins: ``(n, 3)`` ray origins.
+            directions: ``(n, 3)`` unit ray directions.
+
+        Returns:
+            Tuple ``(t_in, t_out)``, each ``(n,)``.
+        """
+        t_in, t_out = self._stack_intervals(
+            origins, directions, self._z_faces[:1], self._z_faces[-1:]
+        )
+        return t_in[0], t_out[0]
+
+    def _stack_intervals(
+        self,
+        origins: np.ndarray,
+        directions: np.ndarray,
+        z_upper: np.ndarray,
+        z_lower: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(k, n)`` intervals of ``n`` rays inside ``k`` z slabs of the
+        shared lateral extent.
+
+        Each interval is ``max(0, z, x, y)`` to ``min(z, x, y)``, reduced
+        left to right in that order, so a tie between equal operands
+        (signed zeros) resolves to the operand a slab-by-slab, axis-by-axis
+        loop picks.  The x and y intervals are computed once per ray and
+        broadcast over the slabs.
+        """
+        origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
+        directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+        half = self.half_size
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            t_in, t_out = _slab_interval(
+                origins[:, 2], directions[:, 2], z_upper[:, None], z_lower[:, None]
+            )
+            np.maximum(0.0, t_in, out=t_in)
+            for axis in (0, 1):
+                lo, hi = _slab_interval(
+                    origins[:, axis], directions[:, axis], half, -half
+                )
+                np.maximum(t_in, lo, out=t_in)
+                np.minimum(t_out, hi, out=t_out)
         return t_in, t_out
+
+
+def _slab_interval(
+    origin: np.ndarray, direction: np.ndarray, upper, lower
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interval ``[lo, hi]`` of ``t`` where ``lower <= origin + t * direction
+    <= upper``, per ray.
+
+    ``origin`` and ``direction`` are ``(n,)``; the faces are scalars, or
+    ``(k, 1)`` columns for ``(k, n)`` intervals.  A ray parallel to the
+    faces (``|direction| < 1e-300``) is inside for every ``t`` or for
+    none: ``[0, inf]`` or ``[inf, -inf]``.  Call under
+    ``np.errstate(divide="ignore", over="ignore", invalid="ignore")``.
+    """
+    t1 = (upper - origin) / direction
+    t2 = (lower - origin) / direction
+    lo = np.minimum(t1, t2)
+    hi = np.maximum(t1, t2, out=t1)
+    par = np.nonzero(np.abs(direction) < 1e-300)[0]
+    inside = (origin[par] <= upper) & (origin[par] >= lower)
+    lo[..., par] = np.where(inside, 0.0, np.inf)
+    hi[..., par] = np.where(inside, np.inf, -np.inf)
+    return lo, hi
 
 
 def adapt_geometry(

@@ -78,12 +78,8 @@ def ring_feature_block(rings: RingSet, events: EventSet) -> np.ndarray:
         ``(m, 12)`` float array in the feature order of the module
         docstring (features 0-11).
     """
-    # bincount accumulates in hit order, as np.add.at does: the same
-    # sums bit for bit, without add.at's per-element dispatch.
-    n = events.num_events
-    seg = np.repeat(np.arange(n), events.hits_per_event())
-    etot = np.bincount(seg, weights=events.energies, minlength=n)
-    var_tot = np.bincount(seg, weights=events.sigma_energy**2, minlength=n)
+    etot = events.sum_per_event(events.energies)
+    var_tot = events.sum_per_event(events.sigma_energy**2)
 
     first = rings.first_hit
     second = rings.second_hit

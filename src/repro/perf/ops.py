@@ -3,9 +3,11 @@
 One entry per hot kernel, at the paper's workload shape: the
 first-background-iteration ring block (597 rows — see
 ``fpga.PAPER_NUM_RINGS``) pushed through the widest background-net
-stage (13 -> 256), and the localization kernels (approximate/refine,
-sky search) over a synthetic ring block of the same size.  Importing this module populates the registry in
-:mod:`repro.perf.registry`; ``repro.perf`` does so on import.
+stage (13 -> 256), the localization kernels (approximate/refine,
+sky search) over a synthetic ring block of the same size, and photon
+transport over one simulated ADAPT exposure.  Importing this module
+populates the registry in :mod:`repro.perf.registry`; ``repro.perf``
+does so on import.
 
 Workloads are built deterministically (fixed seeds) inside each
 ``build`` factory, so registering is free and nothing heavy happens
@@ -262,3 +264,27 @@ def _bench_gather_scatter():
         ]
 
     return run, int(offsets[-1])
+
+
+@register("physics_transport_exposure", op="physics.transport")
+def _bench_transport():
+    # One ADAPT exposure: a 1 MeV/cm^2 burst at polar 30 degrees plus the
+    # default atmospheric background, ~130k photons of which more than
+    # half miss the stack.  Each call reseeds its generator, so every call
+    # follows the same histories.  rows = photons per call.
+    from repro.geometry.tiles import adapt_geometry
+    from repro.physics.transport import transport_photons
+    from repro.sources.background import BackgroundModel
+    from repro.sources.grb import GRBSource, PhotonBatch
+
+    geometry = adapt_geometry()
+    rng = _rng(29)
+    grb = GRBSource(fluence_mev_cm2=1.0, polar_angle_deg=30.0, azimuth_deg=40.0)
+    batch = PhotonBatch.concatenate(
+        [grb.generate(geometry, rng), BackgroundModel().generate(geometry, rng)]
+    )
+    return (
+        lambda: transport_photons(
+            geometry, batch.origins, batch.directions, batch.energies, _rng(31)
+        )
+    ), batch.num_photons

@@ -66,9 +66,7 @@ def estimate_escape_energy(
     n = events.num_events
     counts = events.hits_per_event()
 
-    seg = np.repeat(np.arange(n), counts)
-    calorimetric = np.zeros(n)
-    np.add.at(calorimetric, seg, events.energies)
+    calorimetric = events.sum_per_event(events.energies)
 
     energy = np.full(n, np.nan)
     applicable = np.zeros(n, dtype=bool)

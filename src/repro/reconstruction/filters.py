@@ -64,9 +64,7 @@ def quality_filter(
     )
     lever_ok = lever >= cfg.min_lever_arm_cm
 
-    seg = np.repeat(np.arange(events.num_events), events.hits_per_event())
-    etot = np.zeros(events.num_events)
-    np.add.at(etot, seg, events.energies)
+    etot = events.sum_per_event(events.energies)
     energy_ok = etot[rings.event_index] >= cfg.min_total_energy_mev
 
     score = rings.ordering_score

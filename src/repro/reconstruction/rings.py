@@ -142,13 +142,8 @@ def build_rings(
     axis = axis / norms
 
     # Total measured energy per event (CSR segment sums).
-    seg = np.repeat(
-        np.arange(events.num_events), events.hits_per_event()
-    )
-    etot_all = np.zeros(events.num_events)
-    np.add.at(etot_all, seg, events.energies)
-    var_all = np.zeros(events.num_events)
-    np.add.at(var_all, seg, events.sigma_energy**2)
+    etot_all = events.sum_per_event(events.energies)
+    var_all = events.sum_per_event(events.sigma_energy**2)
 
     etot = etot_all[ev_idx]
     e1 = events.energies[first]

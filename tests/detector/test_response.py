@@ -200,3 +200,48 @@ class TestDigitize:
         )
         ev = resp.digitize(transport, batch, np.random.default_rng(10), min_hits=1)
         assert ev.hits_per_event()[0] == 2
+
+
+class TestPerEventSums:
+    """bincount sums equal the np.add.at sums they replaced, bit for bit."""
+
+    def test_sum_per_event_matches_add_at(self, events):
+        segment = np.repeat(np.arange(events.num_events), events.hits_per_event())
+        for values in (events.energies, events.sigma_energy**2):
+            expected = np.zeros(events.num_events)
+            np.add.at(expected, segment, values)
+            got = events.sum_per_event(values)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_sum_per_event_of_empty_set(self):
+        from repro.detector.response import _empty_event_set
+
+        events = _empty_event_set(None)
+        assert events.sum_per_event(events.energies).shape == (0,)
+
+    def test_merged_hits_match_add_at(self, exposure, response):
+        t = exposure.transport
+        key = np.lexsort((t.order, t.photon_index))
+        ph, pos, edep = t.photon_index[key], t.positions[key], t.energies[key]
+        _, _, w_pos, e_sum = response._merge_close_hits(ph, t.order[key], pos, edep)
+
+        layer = response.geometry.layer_index(pos)
+        merge = (
+            (ph[1:] == ph[:-1])
+            & (layer[1:] == layer[:-1])
+            & (layer[1:] >= 0)
+            & (
+                np.linalg.norm(pos[1:] - pos[:-1], axis=1)
+                < response.config.merge_radius_cm
+            )
+        )
+        group = np.concatenate([[0], np.cumsum(~merge)])
+        expected_e = np.zeros(group[-1] + 1)
+        np.add.at(expected_e, group, edep)
+        expected_w = np.zeros((group[-1] + 1, 3))
+        np.add.at(expected_w, group, pos * edep[:, None])
+        expected_w /= expected_e[:, None]
+
+        assert merge.any()
+        assert e_sum.tobytes() == expected_e.tobytes()
+        assert w_pos.tobytes() == expected_w.tobytes()

@@ -4,7 +4,23 @@ import numpy as np
 import pytest
 
 from repro import constants
-from repro.geometry.tiles import DetectorGeometry, Layer, adapt_geometry
+from repro.geometry.tiles import DetectorGeometry, Layer, adapt_geometry, apt_geometry
+from tests.physics.transport_oracle import segment_intersections_loop
+
+
+def _layer(z_top, z_bottom, half_size=20.0):
+    return Layer(
+        z_top=z_top, z_bottom=z_bottom, half_size=half_size, material=constants.CSI
+    )
+
+
+def _assert_bitwise(actual, expected):
+    """Equal shapes and equal bits (signed zeros and NaNs included)."""
+    actual = np.ascontiguousarray(actual)
+    expected = np.ascontiguousarray(expected)
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
 
 class TestLayer:
@@ -25,6 +41,37 @@ class TestLayer:
         layer = Layer(z_top=0.0, z_bottom=-1.5, half_size=20.0, material=constants.CSI)
         assert not layer.contains_z(np.array([0.1]))[0]
         assert not layer.contains_z(np.array([-1.6]))[0]
+
+
+class TestGeometryInvariants:
+    """The stack invariants the transport walk relies on."""
+
+    def test_rejects_bottom_first_listing(self):
+        with pytest.raises(ValueError, match="top-first"):
+            DetectorGeometry(layers=(_layer(-11.5, -13.0), _layer(0.0, -1.5)))
+
+    def test_rejects_overlapping_layers(self):
+        with pytest.raises(ValueError, match="overlap"):
+            DetectorGeometry(layers=(_layer(0.0, -1.5), _layer(-1.0, -2.5)))
+
+    def test_rejects_mixed_half_sizes(self):
+        with pytest.raises(ValueError, match="half_size"):
+            DetectorGeometry(
+                layers=(_layer(0.0, -1.5, 20.0), _layer(-11.5, -13.0, 25.0))
+            )
+
+    def test_rejects_inverted_layer(self):
+        with pytest.raises(ValueError, match="z_bottom < z_top"):
+            DetectorGeometry(layers=(_layer(-1.5, 0.0),))
+
+    def test_rejects_empty_stack(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            DetectorGeometry(layers=())
+
+    def test_touching_layers_allowed(self):
+        geo = adapt_geometry(layer_gap_cm=0.0)
+        for upper, lower in zip(geo.layers[:-1], geo.layers[1:]):
+            assert upper.z_bottom == lower.z_top
 
 
 class TestAdaptGeometry:
@@ -145,3 +192,103 @@ class TestSegmentIntersections:
         t_in, t_out = geometry.segment_intersections(origin, direction)
         lengths = np.maximum(t_out - np.maximum(t_in, 0.0), 0.0)
         assert lengths.sum() == pytest.approx(0.0)
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=np.float64)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _edge_rays(geo):
+    """Rays on the special cases of the slab arithmetic, as (origins, dirs)."""
+    half = geo.half_size
+    top, bottom = geo.layers[0], geo.layers[-1]
+    mid_z = 0.5 * (top.z_top + top.z_bottom)
+    face_z = [layer.z_top for layer in geo.layers] + [
+        layer.z_bottom for layer in geo.layers
+    ]
+    rays = []
+    # Axis-parallel, both senses of every axis, from above, inside and beside.
+    for start in ([0.0, 0.0, 1.0], [0.0, 0.0, mid_z], [half + 5.0, 0.0, mid_z]):
+        for axis in range(3):
+            for sign in (1.0, -1.0):
+                d = np.zeros(3)
+                d[axis] = sign
+                rays.append((start, d))
+    # Starting exactly on every z face and on both lateral faces, heading
+    # up, down and obliquely.
+    headings = ([0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.3, -0.2, -1.0], [0.3, 0.2, 1.0])
+    for z in face_z:
+        for d in headings:
+            rays.append(([1.0, -2.0, z], d))
+    for x in (half, -half):
+        for d in ([-1.0, 0.0, -0.5], [1.0, 0.0, -0.5], [0.0, 1.0, -1.0]):
+            rays.append(([x, 0.5, mid_z], d))
+    # Grazing a lateral face: running along it, and along a box corner.
+    rays.append(([half, 0.0, 1.0], [0.0, 0.0, -1.0]))
+    rays.append(([half, half, 1.0], [0.0, 0.0, -1.0]))
+    rays.append(([half, -half - 1.0, mid_z], [0.0, 1.0, 0.0]))
+    rays.append(([half + 1.0, 0.0, 1.0], [-1.0, 0.0, -1.0 / geo.height]))
+    # Inside a slab, upward and downward; subnormal direction components.
+    rays.append(([0.0, 0.0, mid_z], [0.1, 0.1, 1.0]))
+    rays.append(([0.0, 0.0, mid_z], [0.1, 0.1, -1.0]))
+    rays.append(([0.0, 0.0, mid_z], [1.0, 1e-310, 1e-310]))
+    rays.append(([0.0, 0.0, bottom.z_bottom - 1.0], [0.0, 5e-324, 1.0]))
+    origins = np.array([r[0] for r in rays], dtype=np.float64)
+    directions = _unit([r[1] for r in rays])
+    return origins, directions
+
+
+def _random_rays(geo, rng, n=4000):
+    half = geo.half_size
+    origins = np.stack(
+        [
+            rng.uniform(-1.5 * half, 1.5 * half, n),
+            rng.uniform(-1.5 * half, 1.5 * half, n),
+            rng.uniform(geo.z_bottom - 5.0, geo.z_top + 5.0, n),
+        ],
+        axis=1,
+    )
+    return origins, _unit(rng.normal(size=(n, 3)))
+
+
+STACKS = {
+    "adapt": adapt_geometry(),
+    "apt": apt_geometry(),
+    "gap0": adapt_geometry(num_layers=5, layer_gap_cm=0.0),
+    "single": adapt_geometry(num_layers=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKS))
+class TestSegmentIntersectionsOracle:
+    """Bitwise agreement with the per-layer, per-axis loop."""
+
+    def test_random_rays(self, name):
+        geo = STACKS[name]
+        origins, directions = _random_rays(geo, np.random.default_rng(31))
+        got = geo.segment_intersections(origins, directions)
+        want = segment_intersections_loop(geo, origins, directions)
+        _assert_bitwise(got[0], want[0])
+        _assert_bitwise(got[1], want[1])
+
+    def test_edge_rays(self, name):
+        geo = STACKS[name]
+        origins, directions = _edge_rays(geo)
+        got = geo.segment_intersections(origins, directions)
+        want = segment_intersections_loop(geo, origins, directions)
+        _assert_bitwise(got[0], want[0])
+        _assert_bitwise(got[1], want[1])
+
+    def test_box_interval_contains_every_slab(self, name):
+        geo = STACKS[name]
+        origins, directions = (
+            np.concatenate(parts)
+            for parts in zip(
+                _random_rays(geo, np.random.default_rng(37)), _edge_rays(geo)
+            )
+        )
+        t_in, t_out = geo.segment_intersections(origins, directions)
+        box_in, box_out = geo.box_intersections(origins, directions)
+        assert np.all(t_in >= box_in[:, None])
+        assert np.all(t_out <= box_out[:, None])

@@ -3,11 +3,30 @@
 import numpy as np
 import pytest
 
+from repro.geometry.tiles import adapt_geometry, apt_geometry
 from repro.physics.transport import (
     FATE_ABSORBED,
     FATE_ESCAPED,
     FATE_NO_INTERACTION,
+    _material_path_to_geometric,
     transport_photons,
+)
+from repro.sources.background import BackgroundModel
+from repro.sources.grb import GRBSource, PhotonBatch
+from tests.physics.transport_oracle import (
+    material_path_to_geometric_sorted,
+    segment_intersections_loop,
+    transport_photons_oracle,
+)
+
+RESULT_FIELDS = (
+    "photon_index",
+    "order",
+    "positions",
+    "energies",
+    "num_interactions",
+    "fate",
+    "escaped_energy",
 )
 
 
@@ -150,3 +169,115 @@ class TestTransportValidation:
                 np.array([1.0, 1.0]),
                 np.random.default_rng(0),
             )
+
+    @pytest.mark.parametrize(
+        "name, values",
+        [
+            pytest.param("origins", [[np.nan, 0.0, 1.0]], id="nan-origin"),
+            pytest.param("origins", [[0.0, 0.0, np.inf]], id="inf-origin"),
+            pytest.param("directions", [[0.0, np.nan, -1.0]], id="nan-direction"),
+            pytest.param("directions", [[0.0, 0.0, -np.inf]], id="inf-direction"),
+            pytest.param("energies", [np.nan], id="nan-energy"),
+            pytest.param("energies", [np.inf], id="inf-energy"),
+        ],
+    )
+    def test_rejects_non_finite_input(self, geometry, name, values):
+        batch = {
+            "origins": np.array([[0.0, 0.0, 1.0]]),
+            "directions": np.array([[0.0, 0.0, -1.0]]),
+            "energies": np.array([1.0]),
+        }
+        batch[name] = values
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            transport_photons(geometry, rng=np.random.default_rng(0), **batch)
+
+
+def _recipe_batch(instrument, k):
+    """Bench-recipe exposure ``k``: a burst plus the instrument's background."""
+    rng = np.random.default_rng([2024, 18, k])
+    if instrument == "adapt":
+        geometry = adapt_geometry()
+        fluence = (0.1, 0.4, 0.8, 1.2)[k]
+        polar, background = 30.0, BackgroundModel()
+    else:
+        geometry = apt_geometry()
+        fluence = (0.05, 0.1, 0.2, 0.3)[k]
+        polar = 20.0
+        background = BackgroundModel(flux_per_cm2_s=1.0, cos_polar_min=0.0)
+    grb = GRBSource(
+        fluence_mev_cm2=fluence,
+        polar_angle_deg=polar,
+        azimuth_deg=float(rng.uniform(0.0, 360.0)),
+    )
+    batch = PhotonBatch.concatenate(
+        [grb.generate(geometry, rng), background.generate(geometry, rng)]
+    )
+    return geometry, batch.origins, batch.directions, batch.energies
+
+
+def _assert_same_transport(geometry, origins, directions, energies, seed, **kw):
+    rng_new = np.random.default_rng(seed)
+    rng_ref = np.random.default_rng(seed)
+    got = transport_photons(geometry, origins, directions, energies, rng_new, **kw)
+    want = transport_photons_oracle(
+        geometry, origins, directions, energies, rng_ref, **kw
+    )
+    for field in RESULT_FIELDS:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+    # The random stream is left where the full walk leaves it.
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    return got
+
+
+class TestTransportOracle:
+    """Culling, the shared lateral test and the z-order walk change no bit."""
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("instrument", ["adapt", "apt"])
+    def test_recipe_exposures_match_full_walk(self, instrument, k):
+        geometry, origins, directions, energies = _recipe_batch(instrument, k)
+        res = _assert_same_transport(
+            geometry, origins, directions, energies, seed=[7, k]
+        )
+        # The exposure exercises the cull: many rays never interact.
+        assert np.mean(res.fate == FATE_NO_INTERACTION) > 0.3
+
+    @pytest.mark.parametrize("energy", [0.06, 0.5, 5.0])
+    def test_vertical_batches_match_full_walk(self, geometry, energy):
+        origins, directions, energies = _vertical_batch(
+            geometry, np.random.default_rng(12), n=3000, energy=energy
+        )
+        _assert_same_transport(geometry, origins, directions, energies, seed=13)
+
+    def test_touching_layers_and_generation_cap(self):
+        geometry = adapt_geometry(num_layers=6, layer_gap_cm=0.0)
+        rng = np.random.default_rng(14)
+        n = 3000
+        origins = rng.uniform(-30.0, 30.0, size=(n, 3)) + [0.0, 0.0, -5.0]
+        directions = rng.normal(size=(n, 3))
+        energies = rng.uniform(0.05, 8.0, n)
+        _assert_same_transport(
+            geometry, origins, directions, energies, seed=15, max_generations=3
+        )
+
+    @pytest.mark.parametrize("num_layers, gap", [(4, 10.0), (20, 0.0)])
+    def test_z_order_walk_matches_sorted_walk(self, num_layers, gap):
+        geometry = adapt_geometry(num_layers=num_layers, layer_gap_cm=gap)
+        rng = np.random.default_rng(16)
+        n = 5000
+        origins = rng.uniform(-40.0, 20.0, size=(n, 3))
+        directions = rng.normal(size=(n, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        t_in, t_out = segment_intersections_loop(geometry, origins, directions)
+        required = rng.exponential(1.0, n) * 3.0
+        assert np.all(required > 0)
+        got = _material_path_to_geometric(
+            t_in, t_out, required, directions[:, 2] > 0
+        )
+        want = material_path_to_geometric_sorted(t_in, t_out, required)
+        np.testing.assert_array_equal(got[1], want[1])
+        live = ~want[1]
+        assert live.sum() > 100
+        assert got[0][live].tobytes() == want[0][live].tobytes()
