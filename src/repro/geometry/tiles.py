@@ -120,6 +120,12 @@ class DetectorGeometry:
     def layer_index(self, points: np.ndarray) -> np.ndarray:
         """Map points to layer indices.
 
+        One ``searchsorted`` on the top faces finds the lowest layer whose
+        top is at or above each point; only that layer can hold it.  The
+        invariants make this the per-layer test with the last match
+        winning: a point on a face shared by two touching layers belongs
+        to the lower one, and a NaN coordinate matches no layer.
+
         Args:
             points: ``(n, 3)`` array of positions in cm.
 
@@ -128,16 +134,17 @@ class DetectorGeometry:
             or ``-1`` for points in a gap or outside the detector.
         """
         points = np.atleast_2d(points)
-        idx = np.full(points.shape[0], -1, dtype=np.int64)
         x, y, z = points[:, 0], points[:, 1], points[:, 2]
-        for i, layer in enumerate(self.layers):
-            inside = (
-                layer.contains_z(z)
-                & (np.abs(x) <= layer.half_size)
-                & (np.abs(y) <= layer.half_size)
-            )
-            idx[inside] = i
-        return idx
+        # Top faces bottom layer first (ascending): the first one >= z.
+        idx = self.num_layers - 1 - np.searchsorted(self._z_faces[-2::-2], z)
+        half = self.half_size
+        inside = (
+            (idx >= 0)
+            & (z >= self._z_faces[2 * idx + 1])
+            & (np.abs(x) <= half)
+            & (np.abs(y) <= half)
+        )
+        return np.where(inside, idx, -1)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Vectorized test whether points lie inside active scintillator."""

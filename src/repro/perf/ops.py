@@ -4,8 +4,9 @@ One entry per hot kernel, at the paper's workload shape: the
 first-background-iteration ring block (597 rows — see
 ``fpga.PAPER_NUM_RINGS``) pushed through the widest background-net
 stage (13 -> 256), the localization kernels (approximate/refine,
-sky search) over a synthetic ring block of the same size, and photon
-transport over one simulated ADAPT exposure.  Importing this module
+sky search) over a synthetic ring block of the same size, and source
+generation, photon transport and digitization of one simulated ADAPT
+exposure.  Importing this module
 populates the registry in :mod:`repro.perf.registry`; ``repro.perf``
 does so on import.
 
@@ -266,25 +267,68 @@ def _bench_gather_scatter():
     return run, int(offsets[-1])
 
 
+def _adapt_exposure_sources():
+    """``(geometry, grb, background)`` of the registry's ADAPT exposure: a
+    1 MeV/cm^2 burst at polar 30 degrees plus the default atmospheric
+    background, ~130k photons of which more than half miss the stack."""
+    from repro.geometry.tiles import adapt_geometry
+    from repro.sources.background import BackgroundModel
+    from repro.sources.grb import GRBSource
+
+    grb = GRBSource(fluence_mev_cm2=1.0, polar_angle_deg=30.0, azimuth_deg=40.0)
+    return adapt_geometry(), grb, BackgroundModel()
+
+
+def _generate_adapt_exposure(geometry, grb, background):
+    """The exposure's photon batch, from a freshly seeded generator."""
+    from repro.sources.grb import PhotonBatch
+
+    rng = _rng(29)
+    return PhotonBatch.concatenate(
+        [grb.generate(geometry, rng), background.generate(geometry, rng)]
+    )
+
+
+@register("sources_generate_exposure", op="sources.generate")
+def _bench_sources():
+    # Source generation of the ADAPT exposure: the burst's plane wave and
+    # the background's per-photon planes.  rows = photons per call.
+    sources = _adapt_exposure_sources()
+    return (
+        lambda: _generate_adapt_exposure(*sources)
+    ), _generate_adapt_exposure(*sources).num_photons
+
+
 @register("physics_transport_exposure", op="physics.transport")
 def _bench_transport():
-    # One ADAPT exposure: a 1 MeV/cm^2 burst at polar 30 degrees plus the
-    # default atmospheric background, ~130k photons of which more than
-    # half miss the stack.  Each call reseeds its generator, so every call
-    # follows the same histories.  rows = photons per call.
-    from repro.geometry.tiles import adapt_geometry
+    # The ADAPT exposure through the slab stack.  Each call reseeds its
+    # generator, so every call follows the same histories.  rows =
+    # photons per call.
     from repro.physics.transport import transport_photons
-    from repro.sources.background import BackgroundModel
-    from repro.sources.grb import GRBSource, PhotonBatch
 
-    geometry = adapt_geometry()
-    rng = _rng(29)
-    grb = GRBSource(fluence_mev_cm2=1.0, polar_angle_deg=30.0, azimuth_deg=40.0)
-    batch = PhotonBatch.concatenate(
-        [grb.generate(geometry, rng), BackgroundModel().generate(geometry, rng)]
-    )
+    geometry, grb, background = _adapt_exposure_sources()
+    batch = _generate_adapt_exposure(geometry, grb, background)
     return (
         lambda: transport_photons(
             geometry, batch.origins, batch.directions, batch.energies, _rng(31)
         )
     ), batch.num_photons
+
+
+@register("detector_digitize_exposure", op="detector.digitize")
+def _bench_digitize():
+    # The ADAPT exposure's hits through the default response, keeping
+    # events of two or more hits (the campaigns' setting).  Each call
+    # reseeds its generator.  rows = transported hits per call.
+    from repro.detector.response import DetectorResponse
+    from repro.physics.transport import transport_photons
+
+    geometry, grb, background = _adapt_exposure_sources()
+    batch = _generate_adapt_exposure(geometry, grb, background)
+    transport = transport_photons(
+        geometry, batch.origins, batch.directions, batch.energies, _rng(31)
+    )
+    response = DetectorResponse(geometry)
+    return (
+        lambda: response.digitize(transport, batch, _rng(37), min_hits=2)
+    ), transport.num_hits

@@ -98,15 +98,18 @@ def plan_op_names() -> frozenset[str]:
 #: evaluation and the split-evaluate-merge refine step) — the cost the
 #: Fig.-6 loop pays per emitted confidence region.  The localization
 #: entries are the approximate/refine step the loop repeats every
-#: iteration: robust refinement and capped chi-square scoring.  Photon
-#: transport is where a simulation campaign spends most of its time.
+#: iteration: robust refinement and capped chi-square scoring.  Source
+#: generation, photon transport and digitization are where a simulation
+#: campaign spends most of its time.
 EXTRA_REQUIRED_OPS = frozenset(
     {
+        "detector.digitize",
         "localization.capped_chi_square",
         "localization.refine_source",
         "physics.transport",
         "skymap.evaluate_cells",
         "skymap.refine_level",
+        "sources.generate",
     }
 )
 

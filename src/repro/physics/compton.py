@@ -132,6 +132,55 @@ def sample_klein_nishina(
     raise RuntimeError("Klein-Nishina rejection sampling did not converge")
 
 
+def cross_columns(
+    a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cross products ``a x b`` of 3-vectors held as ``(x, y, z)`` columns.
+
+    The products and subtractions are numpy's ``cross``, in its operand
+    order, so every component (signed zeros included) is the same bit for
+    bit, without its casts and strided ``(n, 3)`` temporaries.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    c0 = a1 * b2
+    c0 -= a2 * b1
+    c1 = a2 * b0
+    c1 -= a0 * b2
+    c2 = a0 * b1
+    c2 -= a1 * b0
+    return c0, c1, c2
+
+
+def norm_columns(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Euclidean norms of 3-vectors held as columns.
+
+    Sums the squares as ``(c0^2 + c1^2) + c2^2``, the order
+    ``np.linalg.norm(v, axis=1)`` reduces an ``(n, 3)`` array in, so the
+    norms are the same bit for bit.
+    """
+    sum_sq = c0 * c0
+    sum_sq += c1 * c1
+    sum_sq += c2 * c2
+    return np.sqrt(np.maximum(sum_sq, 0.0, out=sum_sq), out=sum_sq)
+
+
+def perpendicular_frame(
+    d: tuple[np.ndarray, ...], helper: tuple[np.ndarray, ...]
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Unit vectors ``u, v`` spanning the plane perpendicular to each ``d``.
+
+    ``u = (helper x d) / |helper x d|`` and ``v = d x u``, all as ``(x, y,
+    z)`` columns; ``helper`` must not be parallel to ``d``.  Shared by the
+    background source's generation planes and the Compton scatter frame.
+    """
+    u = cross_columns(helper, d)
+    norm = norm_columns(*u)
+    for column in u:
+        column /= norm
+    return u, cross_columns(d, u)
+
+
 def rotate_directions(
     directions: np.ndarray,
     cos_theta: np.ndarray,
@@ -151,25 +200,29 @@ def rotate_directions(
     Returns:
         ``(n, 3)`` rotated unit vectors.
     """
-    d = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+    directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
     cos_theta = np.asarray(cos_theta, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
+    d = (directions[:, 0], directions[:, 1], directions[:, 2])
 
-    # Pick a helper axis not parallel to d: use z unless d is nearly +-z.
-    helper = np.zeros_like(d)
-    near_z = np.abs(d[:, 2]) > 0.999
-    helper[near_z, 0] = 1.0
-    helper[~near_z, 2] = 1.0
-
-    u = np.cross(helper, d)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v = np.cross(d, u)
+    # Helper axis not parallel to d: z unless d is nearly +-z, then x.
+    near_z = np.abs(d[2]) > 0.999
+    h0 = near_z.astype(np.float64)
+    u, v = perpendicular_frame(d, (h0, np.zeros_like(h0), 1.0 - h0))
 
     sin_theta = np.sqrt(np.clip(1.0 - cos_theta**2, 0.0, 1.0))
-    out = (
-        sin_theta[:, None] * (np.cos(phi)[:, None] * u + np.sin(phi)[:, None] * v)
-        + cos_theta[:, None] * d
-    )
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    # sin(theta) (cos(phi) u + sin(phi) v) + cos(theta) d, per column.
+    rotated = []
+    for k in range(3):
+        column = cos_phi * u[k]
+        column += sin_phi * v[k]
+        column *= sin_theta
+        column += cos_theta * d[k]
+        rotated.append(column)
     # Guard against accumulated roundoff.
-    out /= np.linalg.norm(out, axis=1, keepdims=True)
+    norm = norm_columns(*rotated)
+    out = np.empty((norm.shape[0], 3))
+    for k in range(3):
+        np.divide(rotated[k], norm, out=out[:, k])
     return out

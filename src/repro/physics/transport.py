@@ -13,8 +13,10 @@ generations* (a handful), never over photons; all per-photon work is NumPy
 array arithmetic on structure-of-arrays state.  Rays that miss the stack's
 bounding box (about 55% of an exposure's first generation on either
 instrument) escape at once; only the rest walk the slabs, in the z order
-the ray meets them.  Both shortcuts leave every output and the random
-stream bit-identical to walking every ray's intervals sorted by entry.
+the ray meets them, a block of rays at a time.  A photon's fate and
+escaped energy are kept current as it interacts, so an escape writes
+nothing.  These shortcuts leave every output and the random stream
+bit-identical to walking every ray's intervals sorted by entry.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.geometry.tiles import DetectorGeometry
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.physics.compton import (
+    norm_columns,
     rotate_directions,
     sample_klein_nishina,
     scattered_energy,
@@ -145,6 +148,49 @@ def _material_path_to_geometric(
     return t_star, escaped
 
 
+#: Rays per block of :func:`_interaction_distances`.
+_BLOCK = 16384
+
+
+def _interaction_distances(
+    geometry: DetectorGeometry,
+    pos: np.ndarray,
+    dirs: np.ndarray,
+    depth: np.ndarray,
+    energies: np.ndarray,
+    material: Material,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rays that interact before leaving the stack, and how far they go.
+
+    Each ray's optical ``depth`` is converted into a geometric distance on
+    its own, so rays are walked a block at a time, which keeps the
+    ``(layers, rays)`` temporaries in cache.  ``pos`` must hold at least
+    one ray.
+
+    Returns:
+        ``(rows, t_star)`` — ascending indices of the rays that interact
+        and the geometric distance to each interaction point, cm.
+    """
+    hit_rows, hit_dist = [], []
+    for start in range(0, pos.shape[0], _BLOCK):
+        block = slice(start, start + _BLOCK)
+        # A ray whose bounding-box interval is empty crosses no slab: its
+        # material path is exactly 0 and it escapes, as the full walk
+        # would decide.  Only the rest walk the slabs.
+        box_in, box_out = geometry.box_intersections(pos[block], dirs[block])
+        rows = np.nonzero(box_out > np.maximum(box_in, _MIN_START_CM))[0] + start
+        t_in, t_out = geometry.segment_intersections(pos[rows], dirs[rows])
+        # total_mu > 0 at every energy (Compton never vanishes); the
+        # floor only shields degenerate test materials from 0-division.
+        mu = np.maximum(total_mu(energies[rows], material), np.finfo(np.float64).tiny)
+        t_star, escaped = _material_path_to_geometric(
+            t_in, t_out, depth[rows] / mu, dirs[rows, 2] > 0
+        )
+        hit_rows.append(rows[~escaped])
+        hit_dist.append(t_star[~escaped])
+    return np.concatenate(hit_rows), np.concatenate(hit_dist)
+
+
 @obs_trace.traced("physics.transport")
 def transport_photons(
     geometry: DetectorGeometry,
@@ -188,10 +234,10 @@ def transport_photons(
     ):
         if not np.isfinite(values).all():
             raise ValueError(f"photon {name} must be finite")
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms = norm_columns(directions[:, 0], directions[:, 1], directions[:, 2])
     if np.any(norms == 0):
         raise ValueError("zero-length direction vector")
-    directions = directions / norms
+    directions = directions / norms[:, None]
     n = origins.shape[0]
     if directions.shape[0] != n or energies.shape[0] != n:
         raise ValueError("origins, directions, energies must have equal length")
@@ -199,9 +245,14 @@ def transport_photons(
         raise ValueError("photon energies must be positive")
     obs_metrics.inc("transport.photons", n)
 
+    # A photon's fate and escaped energy are kept current as it goes, so
+    # nothing is written when it leaves the stack: one that never
+    # interacts keeps its energy and FATE_NO_INTERACTION; an interaction
+    # sets FATE_ABSORBED and 0, or FATE_ESCAPED and the scattered energy
+    # for a survivor, until its next interaction or the cap.
     num_interactions = np.zeros(n, dtype=np.int64)
     fate = np.full(n, FATE_NO_INTERACTION, dtype=np.int64)
-    escaped_energy = np.zeros(n, dtype=np.float64)
+    escaped_energy = energies.copy()
 
     hit_photon: list[np.ndarray] = []
     hit_order: list[np.ndarray] = []
@@ -213,49 +264,29 @@ def transport_photons(
     # from or scattered into per-batch arrays.
     live_idx = np.arange(n)
     pos, dirs, e = origins, directions, energies
-    for _generation in range(max_generations):
+    for generation in range(max_generations):
         if live_idx.size == 0:
             break
         # Every live photon draws its optical depth, so the stream does not
         # depend on which rays the box test below culls.
         depth = rng.exponential(1.0, size=live_idx.size)
 
-        # A ray whose bounding-box interval is empty crosses no slab: its
-        # material path is exactly 0 and it escapes, as the full walk
-        # would decide.  Only the rest walk the slabs.
-        box_in, box_out = geometry.box_intersections(pos, dirs)
-        rows = np.nonzero(box_out > np.maximum(box_in, _MIN_START_CM))[0]
-        t_in, t_out = geometry.segment_intersections(pos[rows], dirs[rows])
-        # total_mu > 0 at every energy (Compton never vanishes); the
-        # floor only shields degenerate test materials from 0-division.
-        mu = np.maximum(total_mu(e[rows], material), np.finfo(np.float64).tiny)
-        t_star, escaped_rows = _material_path_to_geometric(
-            t_in, t_out, depth[rows] / mu, dirs[rows, 2] > 0
+        act_rows, t_star = _interaction_distances(
+            geometry, pos, dirs, depth, e, material
         )
-        escaped = np.ones(live_idx.size, dtype=bool)
-        escaped[rows] = escaped_rows
-
-        esc_idx = live_idx[escaped]
-        escaped_energy[esc_idx] = e[escaped]
-        fate[esc_idx] = np.where(
-            num_interactions[esc_idx] > 0, FATE_ESCAPED, FATE_NO_INTERACTION
-        )
-
-        act = ~escaped_rows
-        act_rows = rows[act]
         act_idx = live_idx[act_rows]
         act_dirs = dirs[act_rows]
-        new_pos = pos[act_rows] + t_star[act, None] * act_dirs
+        new_pos = pos[act_rows] + t_star[:, None] * act_dirs
         e_act = e[act_rows]
 
         p_c, _p_pe, _p_pp = interaction_probabilities(e_act, material)
         u = rng.uniform(0.0, 1.0, size=act_idx.size)
         # Photoelectric and pair both terminate with full local deposition,
-        # and so do sub-cutoff Compton scatters.  A survivor's fate is
-        # overwritten when it escapes, is absorbed or reaches the cap.
+        # and so do sub-cutoff Compton scatters.
         ci = np.nonzero(u < p_c)[0]
         edep = e_act.copy()
         fate[act_idx] = FATE_ABSORBED
+        escaped_energy[act_idx] = 0.0
 
         cos_t = sample_klein_nishina(e_act[ci], rng)
         e_sc = scattered_energy(e_act[ci], cos_t)
@@ -265,7 +296,8 @@ def transport_photons(
         new_dirs = rotate_directions(act_dirs[ci], cos_t, phi)
 
         hit_photon.append(act_idx)
-        hit_order.append(num_interactions[act_idx].copy())
+        # Every live photon has interacted once per earlier generation.
+        hit_order.append(np.full(act_idx.size, generation, dtype=np.int64))
         hit_pos.append(new_pos)
         hit_edep.append(edep)
         num_interactions[act_idx] += 1
@@ -275,9 +307,10 @@ def transport_photons(
         pos = new_pos[keep]
         dirs = new_dirs[surv]
         e = e_sc[surv]
+        fate[live_idx] = FATE_ESCAPED
+        escaped_energy[live_idx] = e
 
     fate[live_idx] = FATE_MAX_GENERATIONS
-    escaped_energy[live_idx] = e
 
     if hit_photon:
         photon_index = np.concatenate(hit_photon)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.geometry.tiles import DetectorGeometry
+from repro.physics.compton import perpendicular_frame
 from repro.physics.spectra import PowerLawSpectrum, Spectrum
 from repro.sources.grb import LABEL_BACKGROUND, PhotonBatch, _plane_basis
 
@@ -29,6 +30,9 @@ from repro.sources.grb import LABEL_BACKGROUND, PhotonBatch, _plane_basis
 #: accepted background:GRB rings entering localization is ~2.5-3:1 for a
 #: 1 MeV/cm^2 burst in a 1 s window — the ratio the paper reports.
 DEFAULT_BACKGROUND_FLUX: float = 25.0
+
+#: Photons per block of :meth:`BackgroundModel.generate`'s arithmetic.
+_BLOCK = 8192
 
 
 @dataclass
@@ -94,38 +98,43 @@ class BackgroundModel:
         if n_photons is None:
             n_photons = int(rng.poisson(self.expected_photons(geometry)))
         cos_p = rng.uniform(self.cos_polar_min, 1.0, size=n_photons)
-        sin_p = np.sqrt(np.clip(1.0 - cos_p**2, 0.0, 1.0))
         az = rng.uniform(0.0, 2.0 * np.pi, size=n_photons)
-        # Unit vectors from detector toward each photon's origin direction.
-        src = np.stack([sin_p * np.cos(az), sin_p * np.sin(az), cos_p], axis=1)
-        beam = -src
-
-        center = np.array([0.0, 0.0, (geometry.z_top + geometry.z_bottom) / 2.0])
-        dist = geometry.height + side
         a = rng.uniform(-side / 2.0, side / 2.0, size=n_photons)
         b = rng.uniform(-side / 2.0, side / 2.0, size=n_photons)
-        # Per-photon plane basis; vectorized Gram-Schmidt against a helper
-        # axis chosen per photon to avoid degeneracy.
-        helper = np.zeros_like(beam)
-        near_x = np.abs(beam[:, 0]) > 0.9
-        helper[near_x, 1] = 1.0
-        helper[~near_x, 0] = 1.0
-        u = np.cross(helper, beam)
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        v = np.cross(beam, u)
 
-        origins = (
-            center[None, :]
-            + src * dist
-            + a[:, None] * u
-            + b[:, None] * v
-        )
+        center = (0.0, 0.0, (geometry.z_top + geometry.z_bottom) / 2.0)
+        dist = geometry.height + side
+        origins = np.empty((n_photons, 3))
+        directions = np.empty((n_photons, 3))
+        # Element-wise arithmetic, a block of photons at a time so its
+        # temporaries stay in cache.
+        for start in range(0, n_photons, _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            cos_r = cos_p[rows]
+            sin_r = np.sqrt(np.clip(1.0 - cos_r**2, 0.0, 1.0))
+            # Unit vectors from detector toward each photon's origin
+            # direction, as (x, y, z) columns; photons travel along -src.
+            src = (sin_r * np.cos(az[rows]), sin_r * np.sin(az[rows]), cos_r)
+            beam = (-src[0], -src[1], -src[2])
+            # Per-photon plane basis against a helper axis chosen per
+            # photon to avoid degeneracy: x, or y where the beam is nearly
+            # along x.
+            h1 = (np.abs(beam[0]) > 0.9).astype(np.float64)
+            u, v = perpendicular_frame(beam, (1.0 - h1, h1, np.zeros_like(h1)))
+            for k in range(3):
+                # center + src * dist + a * u + b * v, left to right.
+                column = src[k] * dist
+                column += center[k]
+                column += a[rows] * u[k]
+                column += b[rows] * v[k]
+                origins[rows, k] = column
+                directions[rows, k] = beam[k]
         energies = self.spectrum.sample(n_photons, rng)
         times = rng.uniform(0.0, self.duration_s, size=n_photons)
         labels = np.full(n_photons, LABEL_BACKGROUND, dtype=np.int64)
         return PhotonBatch(
             origins=origins,
-            directions=beam,
+            directions=directions,
             energies=energies,
             times=times,
             labels=labels,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry.tiles import DetectorGeometry
+from repro.obs import trace as obs_trace
 from repro.physics.transport import TransportResult, transport_photons
 from repro.sources.background import BackgroundModel
 from repro.sources.grb import GRBSource, PhotonBatch
@@ -63,14 +64,15 @@ def simulate_exposure(
     Raises:
         ValueError: If both sources are None.
     """
-    batches: list[PhotonBatch] = []
-    if grb is not None:
-        batches.append(grb.generate(geometry, rng))
-    if background is not None:
-        batches.append(background.generate(geometry, rng))
-    if not batches:
+    if grb is None and background is None:
         raise ValueError("at least one of grb/background must be provided")
-    batch = PhotonBatch.concatenate(batches) if len(batches) > 1 else batches[0]
+    with obs_trace.span("sources.generate"):
+        batches = [
+            source.generate(geometry, rng)
+            for source in (grb, background)
+            if source is not None
+        ]
+        batch = PhotonBatch.concatenate(batches) if len(batches) > 1 else batches[0]
     transport = transport_photons(
         geometry, batch.origins, batch.directions, batch.energies, rng
     )

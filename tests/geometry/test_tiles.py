@@ -5,6 +5,7 @@ import pytest
 
 from repro import constants
 from repro.geometry.tiles import DetectorGeometry, Layer, adapt_geometry, apt_geometry
+from tests.physics.frontend_oracle import layer_index_loop
 from tests.physics.transport_oracle import segment_intersections_loop
 
 
@@ -135,6 +136,77 @@ class TestLayerIndex:
         assert np.array_equal(
             geometry.contains(pts), geometry.layer_index(pts) >= 0
         )
+
+
+@pytest.mark.parametrize("name", ["adapt", "apt", "gap0", "single"])
+class TestLayerIndexOracle:
+    """The ``searchsorted`` lookup equals the per-layer loop (last match wins)."""
+
+    @staticmethod
+    def _assert_same(geo, points):
+        got = geo.layer_index(points)
+        want = layer_index_loop(geo, points)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        return got
+
+    def test_random_points(self, name):
+        geo = STACKS[name]
+        origins, _ = _random_rays(geo, np.random.default_rng(41), n=20000)
+        got = self._assert_same(geo, origins)
+        assert set(np.unique(got)) == set(range(-1, geo.num_layers))
+
+    def test_face_and_gap_points(self, name):
+        """Every z face (shared faces of touching layers belong to the lower
+        layer), points just inside and outside each face, and gap middles."""
+        geo = STACKS[name]
+        faces = np.array([f for layer in geo.layers for f in (layer.z_top, layer.z_bottom)])
+        z = np.concatenate(
+            [
+                faces,
+                np.nextafter(faces, np.inf),
+                np.nextafter(faces, -np.inf),
+                0.5 * (faces[1:-1:2] + faces[2::2]),
+                [-0.0, 0.0, geo.z_top + 1.0, geo.z_bottom - 1.0],
+            ]
+        )
+        points = np.stack([np.full(z.size, 1.5), np.full(z.size, -2.5), z], axis=1)
+        got = self._assert_same(geo, points)
+        if name == "gap0":
+            shared = faces[1:-1:2]
+            lower = geo.layer_index(
+                np.stack([np.zeros(shared.size), np.zeros(shared.size), shared], axis=1)
+            )
+            np.testing.assert_array_equal(lower, np.arange(1, geo.num_layers))
+        assert np.any(got == -1) and np.any(got >= 0)
+
+    def test_lateral_edges(self, name):
+        """|x| and |y| exactly half_size are inside; one ulp beyond is out."""
+        geo = STACKS[name]
+        half = geo.half_size
+        mid = 0.5 * (geo.layers[-1].z_top + geo.layers[-1].z_bottom)
+        edges = [half, -half, np.nextafter(half, np.inf), -np.nextafter(half, np.inf), 0.0, -0.0]
+        points = np.array([[x, y, mid] for x in edges for y in edges])
+        got = self._assert_same(geo, points)
+        assert got[0] == geo.num_layers - 1
+
+    def test_non_finite_points(self, name):
+        geo = STACKS[name]
+        mid = 0.5 * (geo.layers[0].z_top + geo.layers[0].z_bottom)
+        specials = [np.nan, np.inf, -np.inf]
+        points = np.array(
+            [[s, 0.0, mid] for s in specials]
+            + [[0.0, s, mid] for s in specials]
+            + [[0.0, 0.0, s] for s in specials]
+            + [[np.nan, np.nan, np.nan]]
+        )
+        got = self._assert_same(geo, points)
+        assert np.all(got == -1)
+
+    def test_empty_and_single_point(self, name):
+        geo = STACKS[name]
+        self._assert_same(geo, np.empty((0, 3)))
+        self._assert_same(geo, np.array([0.0, 0.0, geo.z_bottom]))
 
 
 class TestSegmentIntersections:

@@ -19,6 +19,7 @@ from repro.obs.metrics import REGISTRY
 #: of whether the trial ran in-process or in a worker.
 PER_TRIAL_SPANS = (
     "trials.trial",
+    "sources.generate",
     "physics.transport",
     "response.digitize",
     "localize.localize_rings",

@@ -161,3 +161,65 @@ class TestRotateDirections:
         # Perpendicular components should average to ~zero.
         assert abs(out[:, 0].mean()) < 0.05
         assert abs(out[:, 1].mean()) < 0.05
+
+
+def _unit_rows(v):
+    v = np.asarray(v, dtype=np.float64)
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+class TestRotateDirectionsOracle:
+    """The column-wise frame gives the ``np.cross`` frame's bits."""
+
+    @staticmethod
+    def _assert_same(directions, cos_theta, phi):
+        from tests.physics.frontend_oracle import rotate_directions_oracle
+
+        got = rotate_directions(directions, cos_theta, phi)
+        want = rotate_directions_oracle(directions, cos_theta, phi)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 20000])
+    def test_random_directions(self, n):
+        rng = np.random.default_rng(n)
+        directions = _unit_rows(rng.normal(size=(n, 3)))
+        self._assert_same(
+            directions, rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 2 * np.pi, n)
+        )
+
+    def test_near_z_switch(self):
+        """Directions either side of |z| = 0.999, where the helper axis
+        switches from z to x."""
+        rng = np.random.default_rng(5)
+        z = np.concatenate([rng.uniform(0.998, 1.0, 500), -rng.uniform(0.998, 1.0, 500)])
+        azimuth = rng.uniform(0.0, 2 * np.pi, z.size)
+        rho = np.sqrt(1.0 - z**2)
+        directions = np.stack([rho * np.cos(azimuth), rho * np.sin(azimuth), z], axis=1)
+        self._assert_same(
+            directions, rng.uniform(-1.0, 1.0, z.size), rng.uniform(0.0, 6.3, z.size)
+        )
+
+    @pytest.mark.parametrize("cos_theta", [1.0, -1.0, 0.0, 0.5])
+    def test_axis_aligned_directions(self, cos_theta):
+        """+-z, +-x, +-y and signed-zero components, at cos theta = +-1 too."""
+        directions = np.array(
+            [
+                [0.0, 0.0, 1.0],
+                [0.0, 0.0, -1.0],
+                [-0.0, 0.0, -1.0],
+                [0.0, -0.0, 1.0],
+                [-0.0, -0.0, -1.0],
+                [1.0, 0.0, 0.0],
+                [-1.0, 0.0, 0.0],
+                [-1.0, -0.0, 0.0],
+                [1.0, 0.0, -0.0],
+                [0.0, 1.0, 0.0],
+                [0.0, -1.0, -0.0],
+                [-0.0, -1.0, 0.0],
+            ]
+        )
+        n = directions.shape[0]
+        phi = np.linspace(0.0, 2 * np.pi, n)
+        phi[:3] = [0.0, np.pi / 2, np.pi]
+        self._assert_same(directions, np.full(n, cos_theta), phi)

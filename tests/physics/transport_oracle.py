@@ -3,10 +3,11 @@
 These are the straightforward forms of ``segment_intersections``,
 ``_material_path_to_geometric`` and ``transport_photons``: every layer
 tested on its own, every ray's intervals sorted by entry distance, and
-every live photon walked through the slab stack.  The production code
-culls rays that miss the stack's bounding box, tests the lateral extent
-once per ray and walks the slabs in z order instead of sorting.  The
-oracle tests assert that both give the same bits.
+every live photon walked through the slab stack, each scatter turned in
+an ``np.cross`` frame.  The production code culls rays that miss the
+stack's bounding box, tests the lateral extent once per ray, walks the
+slabs in z order instead of sorting and builds scatter frames column by
+column.  The oracle tests assert that both give the same bits.
 """
 
 from __future__ import annotations
@@ -15,11 +16,7 @@ import numpy as np
 
 from repro.constants import CSI, Material
 from repro.geometry.tiles import DetectorGeometry
-from repro.physics.compton import (
-    rotate_directions,
-    sample_klein_nishina,
-    scattered_energy,
-)
+from repro.physics.compton import sample_klein_nishina, scattered_energy
 from repro.physics.crosssections import interaction_probabilities, total_mu
 from repro.physics.transport import (
     ABSORB_CUTOFF_MEV,
@@ -29,6 +26,7 @@ from repro.physics.transport import (
     FATE_NO_INTERACTION,
     TransportResult,
 )
+from tests.physics.frontend_oracle import rotate_directions_oracle
 
 
 def segment_intersections_loop(
@@ -165,7 +163,7 @@ def transport_photons_oracle(
             low = e_sc < absorb_cutoff_mev
             edep[ci] = np.where(low, e_act[ci], e_act[ci] - e_sc)
             phi = rng.uniform(0.0, 2.0 * np.pi, size=ci.size)
-            new_dirs = rotate_directions(dirs[act][ci], cos_t, phi)
+            new_dirs = rotate_directions_oracle(dirs[act][ci], cos_t, phi)
             surv_global = act_idx[ci[~low]]
             directions[surv_global] = new_dirs[~low]
             energies[surv_global] = e_sc[~low]
