@@ -69,9 +69,8 @@ def test_ext_apt_sensitivity(benchmark):
             f"95%={containment(errs, 0.95):6.2f} deg"
         )
 
-    # Shape: APT localizes dim bursts at few-degree scale (approaching the
-    # paper's "degree or less" with the ML pipeline on top); the
-    # demonstrator cannot — its median error is an order of magnitude
-    # worse.
+    # Shape: APT localizes dim bursts to about a degree or better (the
+    # paper's Section VI prediction); the demonstrator cannot — its
+    # median error is an order of magnitude worse.
     assert np.median(results["apt"]) < 6.0
     assert np.median(results["adapt"]) > 5.0 * np.median(results["apt"])
