@@ -1,73 +1,31 @@
-"""End-to-end campaign benchmark: persistent executor vs seed parallel map.
+"""End-to-end campaign benchmark on the persistent campaign executor.
 
-The workload is a miniature fig-9-shaped campaign — a sweep of fluence
+The workload is a miniature fig-9-shaped campaign: a sweep of fluence
 points, each mapping independent baseline trials over workers.  Low
-fluence means cheap trials, so per-stage pool startup dominated the seed
-implementation at exactly the points papers sweep the most.  Two
-implementations run it:
-
-* ``run_campaign_legacy`` — the seed ``parallel_map`` behavior, copied
-  verbatim: a fresh ``spawn`` pool per campaign stage, with geometry and
-  response pickled into every task tuple.
-* ``run_campaign_executor`` — the persistent :class:`CampaignExecutor`:
-  one pool for the whole campaign, the campaign-constant context
-  broadcast once, arguments/results via shared memory.
-
-Both produce bit-identical error arrays (asserted below), so the timing
-difference is pure orchestration overhead: per-stage interpreter startup
-+ ``import numpy`` in the legacy path, and per-task context pickling.
-``scripts/bench_report.py`` records both timings in ``BENCH_pr1.json``.
+fluence means cheap trials, so orchestration overhead weighs most at
+exactly the points papers sweep the most.  ``run_campaign_executor``
+runs it on one :class:`CampaignExecutor` for the whole campaign, with
+the campaign-constant context broadcast once and arguments/results
+moved through shared memory, and must match a serial run bit for bit.
+The tracked campaign numbers come from ``python3 -m bench``.
 """
 
 from __future__ import annotations
-
-import multiprocessing as mp
 
 import numpy as np
 import pytest
 
 #: The campaign: one trial set per fluence point (the paper's fig 9 sweep
 #: shape), at a fixed mid-sweep polar angle.  Many small stages is the
-#: orchestration-overhead-dominated regime this benchmark isolates: per
-#: stage the seed paid a fresh pool (interpreter + numpy/scipy imports in
-#: every worker) that the persistent executor pays once per campaign.
+#: orchestration-overhead-dominated regime this benchmark isolates.
 FLUENCES = tuple(round(0.1 * k, 1) for k in range(1, 13))
 POLAR_DEG = 30.0
 N_TRIALS = 3
 N_WORKERS = 4
 
 
-def _legacy_trial_worker(args: tuple) -> float:
-    """Seed-style worker: full context arrives pickled in every task."""
-    from repro.experiments.trials import trial_error
-
-    geometry, response, seed_seq, config, ml_pipeline = args
-    return trial_error(
-        geometry,
-        response,
-        np.random.default_rng(seed_seq),
-        config,
-        ml_pipeline,
-    )
-
-
-def run_campaign_legacy(geometry, response, n_workers: int = N_WORKERS):
-    """The campaign as the seed ran it: one fresh pool per stage."""
-    from repro.experiments.trials import TrialConfig
-
-    out = []
-    for fluence in FLUENCES:
-        config = TrialConfig(fluence_mev_cm2=fluence, polar_angle_deg=POLAR_DEG)
-        seeds = np.random.SeedSequence(_stage_seed(fluence)).spawn(N_TRIALS)
-        args = [(geometry, response, ss, config, None) for ss in seeds]
-        ctx = mp.get_context("spawn")
-        with ctx.Pool(processes=n_workers) as pool:
-            out.append(np.array(pool.map(_legacy_trial_worker, args)))
-    return out
-
-
 def run_campaign_executor(geometry, response, n_workers: int = N_WORKERS):
-    """The same campaign on one persistent executor, including its startup."""
+    """The campaign on one persistent executor, including its startup."""
     from repro.experiments.trials import TrialConfig, run_trials
     from repro.parallel import CampaignExecutor
 
@@ -108,7 +66,7 @@ def response(geometry):
 
 
 def test_campaign_implementations_bit_identical(geometry, response):
-    """Executor and legacy paths are the same experiment, bit for bit."""
+    """The executor campaign equals the serial one, bit for bit."""
     from repro.experiments.trials import TrialConfig, run_trials
 
     serial = [
@@ -124,10 +82,8 @@ def test_campaign_implementations_bit_identical(geometry, response):
         for fluence in FLUENCES
     ]
     pooled = run_campaign_executor(geometry, response, n_workers=2)
-    legacy = run_campaign_legacy(geometry, response, n_workers=2)
-    for ref, ex, lg in zip(serial, pooled, legacy):
+    for ref, ex in zip(serial, pooled):
         np.testing.assert_array_equal(ref, ex)
-        np.testing.assert_array_equal(ref, lg)
 
 
 def test_perf_campaign_executor(benchmark, geometry, response):
@@ -136,9 +92,3 @@ def test_perf_campaign_executor(benchmark, geometry, response):
         run_campaign_executor, args=(geometry, response), rounds=1, iterations=1
     )
 
-
-def test_perf_campaign_legacy(benchmark, geometry, response):
-    """The same campaign through the seed fresh-pool-per-stage path."""
-    benchmark.pedantic(
-        run_campaign_legacy, args=(geometry, response), rounds=1, iterations=1
-    )

@@ -13,8 +13,9 @@ The parity test asserts the served outcomes are *bitwise* identical to
 the offline ``localize_many`` path on the same inputs before any timing
 runs: the scheduler reproduces its grouping (same kinds, same
 submission order), so fused batches see identical BLAS shapes.
-``scripts/bench_report.py --serve`` runs the same sweep and writes
-``BENCH_serve.json``.
+``python3 -m bench --workload serve_load`` is the tracked serve
+measurement: closed-loop latency, burst goodput and the same parity as
+a gate.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-#: Client counts swept by the perf tests (and ``bench_report --serve``).
+#: Client counts swept by the perf tests.
 CLIENT_COUNTS = (1, 4, 8)
 REQUESTS_PER_CLIENT = 4
 POOL_SIZE = 8

@@ -41,8 +41,9 @@ def main() -> None:
     n_grb = int((rings.labels == LABEL_GRB).sum())
 
     # Alert-quality numbers: the oracle-width GRB rings (the upper bound
-    # the dEta network approaches).  Temperature 2.5 is the value fitted
-    # by `scripts/bench_report.py --skymap` so the 90% region is honest.
+    # the dEta network approaches).  Temperature 2.5 is the value
+    # `repro.experiments.calibration.fit_temperature` picks for this
+    # oracle at 0.25 deg, so the 90% region is honest.
     grb_rings = rings.select(rings.labels == LABEL_GRB)
     grb_rings = grb_rings.with_deta(
         np.maximum(grb_rings.true_eta_errors(), 1e-3)

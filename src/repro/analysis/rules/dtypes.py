@@ -58,8 +58,8 @@ _LIKE_CTORS = frozenset(
 )
 
 #: Widening targets whose per-call ``astype`` allocates and copies the
-#: whole operand (the int8 slowdown BENCH_pr5 measured came from
-#: exactly this: ``.astype(np.int64)`` per forward call).
+#: whole operand (the first INT8 engine's slowdown came from exactly
+#: this: ``.astype(np.int64)`` per forward call).
 WIDE_DTYPES = frozenset(
     {"numpy.int64", "numpy.uint64", "numpy.float32", "numpy.float64"}
 )
@@ -139,8 +139,8 @@ class HotPathWideningCastRule(Rule):
         "allocates and copies the operand on every call; widened views "
         "of construction-time constants (weights, biases, requant "
         "parameters) must be precomputed once at construction and "
-        "cached.  BENCH_pr5 measured the int8 path 8x slower than eager "
-        "float for exactly this reason."
+        "cached.  The first INT8 engine ran 8x slower than eager float "
+        "for exactly this reason."
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:

@@ -42,7 +42,8 @@ planned forward pass per localization round.
 (docs/localization.md): ``--skymap`` attaches the hierarchical
 coarse-to-fine posterior map, ``--skymap-resolution DEG`` sets its
 target pixel scale and ``--skymap-temperature T`` the likelihood
-temperature (fit via ``scripts/bench_report.py --skymap``).  On
+temperature (fit one with
+``repro.experiments.calibration.fit_temperature``).  On
 ``simulate`` the credible-region areas are printed for the one burst;
 on ``localize`` the trial campaign becomes a containment-calibration
 campaign reporting observed 68%/90% coverage and median region areas.
@@ -434,7 +435,8 @@ def _add_skymap_flags(p: argparse.ArgumentParser) -> None:
                    type=float, default=1.0, metavar="T",
                    help="likelihood temperature; >1 widens the regions "
                         "toward honest coverage (fit one with "
-                        "`scripts/bench_report.py --skymap`; default 1.0)")
+                        "repro.experiments.calibration.fit_temperature; "
+                        "default 1.0)")
 
 
 def _add_fault_flags(p: argparse.ArgumentParser) -> None:

@@ -160,9 +160,11 @@ class EventSet:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorResponse:
     """Applies the measurement chain to transport output.
+
+    Frozen, so the fiber grid checked at construction is the one used.
 
     Attributes:
         geometry: Detector geometry (for layer/z assignment).
@@ -183,7 +185,7 @@ class DetectorResponse:
     def __post_init__(self) -> None:
         half = self.geometry.half_size
         if self.fiber_grid is None:
-            self.fiber_grid = FiberGrid(half_size_cm=half)
+            object.__setattr__(self, "fiber_grid", FiberGrid(half_size_cm=half))
         elif self.fiber_grid.half_size_cm != half:
             raise ValueError(
                 f"fiber grid half-size {self.fiber_grid.half_size_cm} cm differs "

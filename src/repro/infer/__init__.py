@@ -5,7 +5,7 @@ Linear+activation stages, eval-mode BatchNorm as precomputed affines,
 train-only layers elided), executes it in pre-allocated activation
 arenas, and exposes pluggable engines the localization pipeline and the
 campaign runner consume.  See ``docs/inference.md`` for semantics and
-the parity guarantees, and ``BENCH_pr6.json`` for measured throughput.
+the parity guarantees and how throughput is measured.
 """
 
 from repro.infer.arena import DEFAULT_MICRO_BATCH, ActivationArena

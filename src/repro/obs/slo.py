@@ -1,7 +1,7 @@
 """Declarative SLOs evaluated from traces, histograms, and perf results.
 
 An SLO spec is a plain dict (JSON-loadable, see :func:`load_spec`) with
-three optional rule families::
+four optional rule families::
 
     {"stages":     {"executor.chunk": {"p95_ms": 500.0, "p99_ms": 900.0}},
      "histograms": {"executor.worker_busy_ms": {"p95_ms": 800.0}},
@@ -22,9 +22,8 @@ three optional rule families::
   ``p99_ms``/``req_per_s`` keys).
 
 :func:`evaluate` returns a report dict with one entry per check
-(``value``, ``limit``, ``margin``, ``passed``) plus an overall verdict;
-``scripts/bench_report.py`` embeds the report in ``BENCH_*.json`` and
-``scripts/ci_checks.py`` fails the build on breaches.  A rule naming a
+(``value``, ``limit``, ``margin``, ``passed``) plus an overall verdict,
+and :func:`render_report` prints it as a table.  A rule naming a
 stage/histogram/op absent from the inputs fails with ``value: None`` —
 a vanished metric is a telemetry regression, not a pass.
 """
@@ -36,38 +35,6 @@ import math
 import os
 
 from repro.obs.metrics import Histogram
-
-
-def default_spec() -> dict:
-    """The repo's checked-in SLO floor for the e2e campaign benchmark.
-
-    Limits sit ~4x off the values measured on the reference container
-    (see ``BENCH_pr7.json``) so routine machine noise never trips them,
-    while a genuine order-of-magnitude regression does.  A function
-    rather than a module constant so callers can mutate their copy
-    freely.
-    """
-    return {
-        "stages": {
-            "executor.chunk": {"p95_ms": 2000.0},
-            "executor.map": {"p99_ms": 20000.0},
-        },
-        "histograms": {
-            "executor.worker_busy_ms": {"p95_ms": 5000.0},
-        },
-        "ops": {
-            "int8_linear_block597": {"min_rows_per_s": 1.0e5},
-            "linear_f32_block597": {"min_rows_per_s": 1.0e5},
-        },
-        "serve": {
-            "load": {
-                "p50_ms": 500.0,
-                "p95_ms": 750.0,
-                "p99_ms": 1000.0,
-                "min_req_per_s": 15.0,
-            },
-        },
-    }
 
 
 def load_spec(path: str | os.PathLike) -> dict:
@@ -116,7 +83,7 @@ def evaluate(spec: dict,
     """Check every rule in ``spec`` against the supplied measurements.
 
     Args:
-        spec: SLO spec dict (see module doc / :func:`default_spec`).
+        spec: SLO spec dict (see the module doc).
         events: Trace event stream for ``stages`` rules.
         metrics: :meth:`MetricsRegistry.dump` snapshot for ``histograms``
             rules.

@@ -3,9 +3,10 @@
 ``repro.perf.registry`` holds the registry and runner;
 ``repro.perf.ops`` registers one benchmark per inference kernel
 (imported here so the registry is populated as a side effect of
-``import repro.perf``).  ``scripts/bench_report.py`` feeds the registry
-into ``BENCH_pr6.json``; ``scripts/ci_checks.py`` gates on coverage —
-every op class in ``repro.infer.plan`` must have an entry.
+``import repro.perf``).  ``scripts/ci_checks.py`` gates on coverage —
+every op class in ``repro.infer.plan`` must have an entry — and
+``tests/perf/test_registry.py`` holds throughput floors on the ML
+path's linear kernels.
 """
 
 from repro.perf import ops as _ops  # noqa: F401  (registers benchmarks)

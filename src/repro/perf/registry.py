@@ -2,10 +2,10 @@
 
 Every hot kernel in the inference runtime registers a tracked
 :class:`OpBenchmark` here (see ``repro.perf.ops``), so performance is a
-*program*, not an afterthought: ``scripts/bench_report.py`` runs the
-whole registry into the ``BENCH_*.json`` report with per-op rows/s, and
-``scripts/ci_checks.py`` fails the build if any op class exported by
-``repro.infer.plan`` lacks a registered benchmark.
+*program*, not an afterthought: :func:`run_all` times the whole
+registry as per-op rows/s, and ``scripts/ci_checks.py`` fails the build
+if any op class exported by ``repro.infer.plan`` lacks a registered
+benchmark.
 
 A benchmark is a named factory: ``build()`` constructs the workload
 once (weights, input blocks, arenas) and returns ``(fn, rows)`` where

@@ -16,7 +16,7 @@ Modules:
     admission: :class:`AdmissionController`, :class:`ServerOverloaded`
         (shed / 429), :class:`ServerClosed`.
     load: :func:`run_load` closed-loop load generator +
-        :class:`LoadReport` (feeds ``BENCH_serve.json``).
+        :class:`LoadReport`.
 """
 
 from repro.serve.admission import (

@@ -5,9 +5,9 @@ tests: :func:`run_load` drives a fresh :class:`LocalizationServer` with
 ``n_clients`` concurrent closed-loop clients — each client submits a
 localization, awaits the outcome, and immediately submits the next —
 and reports sustained request rate plus exact (nearest-rank) latency
-percentiles.  ``scripts/bench_report.py --serve`` sweeps client counts
-and writes the table to ``BENCH_serve.json``; the CLI ``serve-load``
-subcommand prints it.
+percentiles.  The CLI ``serve-load`` subcommand prints one report;
+the tracked serve numbers come from ``python3 -m bench --workload
+serve_load``.
 
 Event sets come from a pre-simulated pool (:func:`synthetic_event_pool`)
 so the measured path is pure serving + inference, not simulation.  Each

@@ -493,6 +493,15 @@ class TestFiberGridSizing:
         explicit = FiberGrid(pitch_cm=0.5, half_size_cm=geometry.half_size)
         assert DetectorResponse(geometry, fiber_grid=explicit).fiber_grid is explicit
 
+    def test_grid_cannot_be_reassigned(self, geometry):
+        """Frozen: a grid swapped in after construction would skip the
+        half-size check."""
+        import dataclasses
+
+        response = DetectorResponse(geometry)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            response.fiber_grid = FiberGrid(half_size_cm=50.0)
+
     def test_cache_token_moves_on_apt_only(self, geometry):
         """Stage-cache tokens hash the response's fields: APT's change with
         its grid, ADAPT's equal those of an explicit ±20 cm grid."""
@@ -504,6 +513,6 @@ class TestFiberGridSizing:
         for geo, moves in ((apt_geometry(), True), (geometry, False)):
             response = DetectorResponse(geo)
             old_grid = copy.copy(response)
-            old_grid.fiber_grid = FiberGrid()
+            object.__setattr__(old_grid, "fiber_grid", FiberGrid())
             token = config_token(7, 8, geo, response)
             assert (token != config_token(7, 8, geo, old_grid)) == moves

@@ -111,3 +111,23 @@ class TestFitTemperature:
             fit_temperature(
                 geometry, response, seed=0, n_trials=1, temperatures=()
             )
+
+
+class TestHeldOutCoverage:
+    def test_oracle_90_region_covers_about_90_percent(self, geometry, response):
+        """Held-out 90% coverage of the ``true_deta`` oracle at T = 2.5.
+
+        Temperature 2.5 is what ``fit_temperature`` picks at seed 77 and
+        what ``examples/skymap_alert.py`` ships; seed 123 is held out from
+        that fit.  This pins only the oracle condition's 90% region.  The
+        68% region under-covers here (0.58), and the baseline and ML
+        conditions are not calibrated yet: both belong to ROADMAP.md
+        item 1.
+        """
+        report = run_calibration(
+            geometry, response, seed=123, n_trials=100,
+            config=TrialConfig(condition="true_deta"),
+            skymap=SkymapConfig(resolution_deg=0.25, temperature=2.5),
+            n_workers=2,
+        )
+        assert 0.85 <= report.fraction(0.9) <= 0.95

@@ -7,7 +7,6 @@ import pytest
 
 from repro.obs.metrics import Histogram
 from repro.obs.slo import (
-    default_spec,
     evaluate,
     exact_percentile,
     load_spec,
@@ -170,26 +169,21 @@ class TestServeRules:
 
 class TestSpecIO:
     def test_load_spec_round_trip(self, tmp_path):
+        spec = {
+            "stages": {"executor.chunk": {"p95_ms": 2000.0}},
+            "histograms": {"executor.worker_busy_ms": {"p95_ms": 5000.0}},
+            "ops": {"int8_linear_block597": {"min_rows_per_s": 1.0e5}},
+            "serve": {"load": {"p99_ms": 1000.0, "min_req_per_s": 15.0}},
+        }
         path = tmp_path / "slo.json"
-        path.write_text(json.dumps(default_spec()))
-        assert load_spec(path) == default_spec()
+        path.write_text(json.dumps(spec))
+        assert load_spec(path) == spec
 
     def test_load_spec_rejects_unknown_section(self, tmp_path):
         path = tmp_path / "slo.json"
         path.write_text(json.dumps({"latencies": {}}))
         with pytest.raises(ValueError, match="unknown SLO spec section"):
             load_spec(path)
-
-    def test_default_spec_names_executor_stages(self):
-        spec = default_spec()
-        assert "executor.chunk" in spec["stages"]
-        assert "executor.worker_busy_ms" in spec["histograms"]
-        assert spec["ops"]
-
-    def test_default_spec_covers_serve(self):
-        rules = default_spec()["serve"]["load"]
-        assert rules["min_req_per_s"] > 0
-        assert rules["p99_ms"] > rules["p50_ms"]
 
 
 class TestRenderReport:

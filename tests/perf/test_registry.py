@@ -53,6 +53,21 @@ class TestBenchmarkContract:
         np.testing.assert_array_equal(fn_a(), fn_b())
 
 
+class TestThroughputFloors:
+    @pytest.mark.parametrize(
+        "name", ["int8_linear_block597", "linear_f32_block597"]
+    )
+    def test_linear_kernels_above_floor(self, name):
+        """The ML path's linear kernels keep >= 1e5 rows/s.
+
+        On a quiet 2-vCPU host int8 reads 175-330k rows/s and float32
+        1.6-3.4M, so the floor catches a several-fold regression.  It
+        assumes no CPU-bound neighbours: OpenBLAS threads sharing the
+        CPUs with busy processes read far lower."""
+        (entry,) = [b for b in perf.registered() if b.name == name]
+        assert run_benchmark(entry) >= 1.0e5
+
+
 class TestRunner:
     def test_run_benchmark_reports_rows_per_s(self):
         bench = OpBenchmark(
