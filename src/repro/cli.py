@@ -32,11 +32,12 @@ samples every process's stacks (``--profile-hz`` sets the rate) and
 tracing, ``--metrics-out live.jsonl`` streams cumulative registry
 snapshots every ``--metrics-interval`` seconds while the command runs.
 
-``localize`` and ``figure`` additionally accept
-``--infer-backend {reference,planned,int8}`` to select the inference
-runtime (see docs/inference.md), and ``localize`` accepts
-``--event-batch N`` to gather ring features across N events into one
-planned forward pass per localization round.
+ML campaigns always run the compiled inference plans (docs/inference.md):
+``localize`` and ``figure`` accept ``--infer-dtype {float64,float32}``
+for their float plans (float64, the default, gives the eager results
+bit for bit), and ``localize`` accepts ``--event-batch N`` to gather
+ring features across N events into one planned forward pass per
+localization round.
 
 ``simulate`` and ``localize`` accept the sky-map family
 (docs/localization.md): ``--skymap`` attaches the hierarchical
@@ -162,7 +163,6 @@ def _cmd_localize(args: argparse.Namespace) -> int:
         fluence_mev_cm2=args.fluence,
         polar_angle_deg=args.polar,
         condition="ml",
-        infer_backend=args.infer_backend,
         infer_dtype=args.infer_dtype,
         event_batch=args.event_batch,
     )
@@ -222,7 +222,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         seed=args.seed,
         n_workers=args.workers,
         cache=args.cache if args.cache else None,
-        infer_backend=args.infer_backend,
         infer_dtype=args.infer_dtype,
     )
     number = args.name.removeprefix("fig")
@@ -490,17 +489,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--workers", type=int, default=1,
                    help="trial fan-out over worker processes")
-    p.add_argument("--infer-backend", dest="infer_backend",
-                   choices=("reference", "planned", "int8"),
-                   default="reference",
-                   help="inference backend: eager reference bundles, "
-                        "compiled plans (bit-identical per event), or the "
-                        "INT8 integer path (quantized pipelines only)")
     p.add_argument("--infer-dtype", dest="infer_dtype",
                    choices=("float32", "float64"), default="float64",
-                   help="float-plan compute dtype for non-reference "
-                        "backends: float64 keeps bit-parity with eager, "
-                        "float32 is the faster deployment dtype")
+                   help="float-plan compute dtype: float64 gives the eager "
+                        "results bit for bit, float32 is the faster "
+                        "deployment dtype")
     p.add_argument("--event-batch", dest="event_batch", type=int, default=1,
                    metavar="N",
                    help="localize N events per lock-step batched inference "
@@ -521,14 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="trial fan-out over worker processes")
     _add_fault_flags(p)
-    p.add_argument("--infer-backend", dest="infer_backend",
-                   choices=("reference", "planned", "int8"),
-                   default="reference",
-                   help="inference backend for ML-condition points")
     p.add_argument("--infer-dtype", dest="infer_dtype",
                    choices=("float32", "float64"), default="float64",
-                   help="float-plan compute dtype for non-reference "
-                        "backends")
+                   help="float-plan compute dtype for ML-condition points")
     p.add_argument("--cache", action="store_true",
                    help="cache trial sets in .campaign_cache/")
     _add_common_flags(p)

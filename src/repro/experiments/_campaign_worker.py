@@ -59,9 +59,10 @@ def trial_worker(common: tuple, seed_seq) -> float:
 
     Args:
         common: ``(geometry, response, config, ml_pipeline, engine)`` —
-            ``engine`` is a pre-compiled inference engine (or None for
-            the eager reference path); its plans ship pickled without
-            arenas, which are rebuilt lazily in this process.
+            ``engine`` is the ML condition's pre-compiled inference
+            engine (None for the other conditions); its plans ship
+            pickled without arenas, which are rebuilt lazily in this
+            process.
         seed_seq: The trial's ``SeedSequence``.
     """
     from repro.experiments.trials import trial_error

@@ -26,6 +26,7 @@ from repro.detector.response import DetectorResponse
 from repro.experiments.report import ExperimentRecord
 from repro.experiments.trials import TrialConfig, _simulate_trial
 from repro.geometry.tiles import DetectorGeometry
+from repro.infer.engine import build_engine
 from repro.localization.hierarchy import SkymapConfig
 from repro.localization.pipeline import localize_baseline
 from repro.pipeline.ml_pipeline import MLPipeline
@@ -297,12 +298,9 @@ def run_calibration(
     with obs_trace.span("calibration.run_calibration"):
         engine = None
         if config.condition == "ml" and ml_pipeline is not None:
-            if config.infer_backend != "reference":
-                from repro.infer import build_engine
-
-                engine = build_engine(
-                    ml_pipeline, config.infer_backend, dtype=config.infer_dtype
-                )
+            engine = build_engine(
+                ml_pipeline, "planned", dtype=config.infer_dtype
+            )
         seeds = np.random.SeedSequence(seed).spawn(n_trials)
         ex = executor if executor is not None else get_executor(n_workers)
         common = (geometry, response, config, skymap, ml_pipeline, engine)

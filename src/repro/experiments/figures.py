@@ -12,7 +12,7 @@ to proportionally scale trial counts in the benchmark suite.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,13 +56,9 @@ class ExperimentScale:
         cache: Deterministic stage cache for trial sets (True uses the
             repo-local ``.campaign_cache/``; results are bit-identical
             hit or miss, so figures can be re-rendered for free).
-        infer_backend: Inference backend for ML-condition points
-            ("reference", "planned", or "int8" — see repro.infer);
-            ignored by non-ML conditions.
         infer_dtype: Float-plan compute dtype for ML-condition points
-            when infer_backend is not "reference" ("float64" keeps
-            bit-parity with eager; "float32" is the faster deployment
-            dtype); ignored otherwise.
+            ("float64" gives the eager results bit for bit; "float32" is
+            the faster deployment dtype); ignored by non-ML conditions.
     """
 
     n_trials: int = 30
@@ -72,7 +68,6 @@ class ExperimentScale:
     seed: int = 7
     n_workers: int = 1
     cache: object = None
-    infer_backend: str = "reference"
     infer_dtype: str = "float64"
 
     @staticmethod
@@ -115,14 +110,8 @@ def _point(
     ml_pipeline: MLPipeline | None = None,
     seed_offset: int = 0,
 ) -> ContainmentPoint:
-    if config.condition == "ml" and scale.infer_backend != "reference":
-        import dataclasses
-
-        config = dataclasses.replace(
-            config,
-            infer_backend=scale.infer_backend,
-            infer_dtype=scale.infer_dtype,
-        )
+    if config.condition == "ml":
+        config = replace(config, infer_dtype=scale.infer_dtype)
     sets = run_meta_trials(
         geometry,
         response,

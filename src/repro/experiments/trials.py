@@ -22,6 +22,7 @@ import numpy as np
 from repro.detector.perturb import perturb_events
 from repro.detector.response import DetectorResponse
 from repro.geometry.tiles import DetectorGeometry
+from repro.infer.engine import PLANNED_DTYPES, build_engine
 from repro.localization.pipeline import localize_baseline
 from repro.pipeline.ml_pipeline import MLPipeline
 from repro.sources.background import BackgroundModel
@@ -29,13 +30,6 @@ from repro.sources.exposure import simulate_exposure
 from repro.sources.grb import GRBSource
 
 CONDITIONS = ("baseline", "no_background", "true_deta", "ml")
-#: Inference backends accepted by :class:`TrialConfig.infer_backend`
-#: (mirrors ``repro.infer.INFER_BACKENDS`` without importing it here —
-#: the infer runtime is only loaded when an ML campaign asks for it).
-INFER_BACKENDS = ("reference", "planned", "int8")
-#: Plan compute dtypes accepted by :class:`TrialConfig.infer_dtype`
-#: (mirrors ``repro.infer.PLANNED_DTYPES``, same lazy-import rationale).
-INFER_DTYPES = ("float32", "float64")
 
 
 @dataclass(frozen=True)
@@ -62,43 +56,29 @@ class TrialConfig:
     #: Optional event-builder coincidence window (None = perfect photon
     #: separation; see repro.detector.coincidence).
     coincidence_window_s: float | None = None
-    #: Inference backend for the ML condition: "reference" (eager
-    #: bundles), "planned" (compiled plans + arenas; bit-identical to
-    #: reference per event), or "int8" (requires a quantized pipeline).
-    #: The engine is compiled once in the parent and shipped to workers
-    #: via the executor's common payload.
-    infer_backend: str = "reference"
     #: Events localized per lock-step batched inference group
     #: (repro.infer.localize_many).  1 = per-event inference (the
     #: bit-identical default); >1 gathers ring blocks across events into
     #: one planned pass per round (ulp-level deviations possible — see
     #: docs/inference.md).
     event_batch: int = 1
-    #: Compute dtype of the compiled float plans when infer_backend is
-    #: not "reference".  Campaigns default to "float64" so planned runs
-    #: stay bit-identical to the eager reference; "float32" is the
-    #: runtime-default deployment dtype (sgemm, half the arena bytes)
-    #: with ulp-level deviations.
+    #: Compute dtype of the compiled float plans the ML condition runs
+    #: (a quantized pipeline's background plan is INT8 either way).
+    #: Campaigns default to "float64", which gives the eager bundles'
+    #: results bit for bit; "float32" is the runtime-default deployment
+    #: dtype (sgemm, half the arena bytes) with ulp-level deviations.
     infer_dtype: str = "float64"
 
     def __post_init__(self) -> None:
         if self.condition not in CONDITIONS:
             raise ValueError(f"condition must be one of {CONDITIONS}")
-        if self.infer_backend not in INFER_BACKENDS:
+        if self.infer_dtype not in PLANNED_DTYPES:
             raise ValueError(
-                f"infer_backend must be one of {INFER_BACKENDS}"
-            )
-        if self.infer_dtype not in INFER_DTYPES:
-            raise ValueError(
-                f"infer_dtype must be one of {INFER_DTYPES}"
+                f"infer_dtype must be one of {PLANNED_DTYPES}"
             )
         if self.event_batch < 1:
             raise ValueError("event_batch must be >= 1")
         if self.condition != "ml":
-            if self.infer_backend != "reference":
-                raise ValueError(
-                    "infer_backend only applies to the 'ml' condition"
-                )
             if self.infer_dtype != "float64":
                 raise ValueError(
                     "infer_dtype only applies to the 'ml' condition"
@@ -269,18 +249,9 @@ def run_trials(
         # rebuild only the (cheap) activation arenas locally.
         engine = None
         if config.condition == "ml" and ml_pipeline is not None:
-            if config.infer_backend != "reference":
-                from repro.infer import build_engine
-
-                engine = build_engine(
-                    ml_pipeline,
-                    config.infer_backend,
-                    dtype=config.infer_dtype,
-                )
-            elif config.event_batch > 1:
-                from repro.infer import build_engine
-
-                engine = build_engine(ml_pipeline, "reference")
+            engine = build_engine(
+                ml_pipeline, "planned", dtype=config.infer_dtype
+            )
         seeds = np.random.SeedSequence(seed).spawn(n_trials)
         ex = executor if executor is not None else get_executor(n_workers)
         common = (geometry, response, config, ml_pipeline, engine)

@@ -1,11 +1,14 @@
-"""Campaign-level batched localization: one planned pass per round.
+"""Campaign-level batched localization and its gather buffer.
 
 Per-event inference evaluates each event's ring features alone — a few
-hundred rows per network call.  :func:`localize_many` instead drives many
-events' request generators in lock step: every round it gathers the
-pending feature blocks of the same kind across *all* live events,
-concatenates them into one block, evaluates the engine once, and
-scatters the row slices back to their generators.
+hundred rows per network call.  :func:`localize_many` instead submits
+many events' request generators to one
+:class:`~repro.serve.scheduler.MicroBatchScheduler` and drains it: every
+round gathers the pending feature blocks of the same kind across *all*
+live events into one block, evaluates the engine once, and scatters the
+row slices back to their generators.  The serving layer runs the same
+rounds, which is why served outcomes equal ``localize_many`` outcomes
+when the clients submit together.
 
 **Determinism.**  Each event keeps its own ``Generator`` and its own
 request stream, and requests within one event are answered strictly in
@@ -15,32 +18,31 @@ events share a group.  Per-row network outputs under cross-event
 concatenation match per-event evaluation to the ulp but not always
 bit-for-bit (BLAS kernels are shape-dependent), which is why campaign
 batching is opt-in (``TrialConfig.event_batch > 1``) while the default
-per-event planned path stays bit-identical to eager.  See
+per-event path stays bit-identical to eager.  See
 ``docs/inference.md``.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
-from repro.infer.engine import InferRequest, build_engine, evaluate_request
+from repro.infer.engine import build_engine
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-
-#: Request kinds gathered per round, in a fixed evaluation order.
-_REQUEST_KINDS = ("background", "deta")
 
 
 class GatherScratch:
     """Reusable gather buffer for one request kind.
 
-    ``localize_many`` used to ``np.concatenate`` the pending feature
-    blocks every lock-step round, allocating a fresh gather array per
-    kind per round.  A campaign of thousands of events runs thousands of
-    rounds, so that churn is pure overhead.  This scratch keeps one
-    growable ``(capacity, width)`` array per kind and copies blocks into
-    its head instead; the array only ever grows (geometrically), so a
-    steady-state campaign allocates nothing after warm-up.
+    Every batching round concatenates the pending feature blocks of each
+    request kind.  A campaign of thousands of events runs thousands of
+    rounds, so a fresh gather array per kind per round is pure churn.
+    This scratch keeps one growable ``(capacity, width)`` array per kind
+    and copies blocks into its head instead; the array only ever grows
+    (geometrically), so a steady-state campaign allocates nothing after
+    warm-up.
 
     The returned view is consumed synchronously — the engine's scaler
     ``transform`` produces a fresh array before any plan touches it — so
@@ -118,6 +120,10 @@ def localize_many(
 ) -> list:
     """Localize many exposures with lock-step batched inference.
 
+    Adds one :class:`~repro.serve.scheduler.ServeJob` per exposure (job
+    id = input index) to a fresh scheduler and flushes it until no
+    request is pending.
+
     Args:
         pipeline: A trained ``MLPipeline``.
         event_sets: One digitized ``EventSet`` per exposure.
@@ -129,7 +135,17 @@ def localize_many(
 
     Returns:
         One ``MLPipelineOutcome`` per exposure, in input order.
+
+    Raises:
+        ValueError: ``event_sets`` and ``rngs`` differ in length.
+        Exception: A localization failed (for example ``ValueError`` for
+            an unknown request kind): that job's own exception — the
+            lowest input index's if several failed — raised once every
+            other job has finished.
     """
+    # serve is built on infer, so infer loads its scheduler lazily.
+    from repro.serve.scheduler import MicroBatchScheduler, ServeJob
+
     event_sets = list(event_sets)
     rngs = list(rngs)
     if len(event_sets) != len(rngs):
@@ -137,42 +153,23 @@ def localize_many(
     if engine is None:
         engine = build_engine(pipeline, "planned")
 
-    gens = [
-        pipeline.localize_requests(events, rng, halt_after=halt_after)
-        for events, rng in zip(event_sets, rngs)
-    ]
-    outcomes: list = [None] * len(gens)
-    pending: dict[int, InferRequest] = {}
-
-    def _advance(i: int, payload) -> None:
-        """Step generator ``i``; file its next request or its outcome."""
-        try:
-            request = next(gens[i]) if payload is None else gens[i].send(payload)
-        except StopIteration as stop:
-            outcomes[i] = stop.value
-        else:
-            pending[i] = request
-
-    scratch = {kind: GatherScratch() for kind in _REQUEST_KINDS}
-    rounds = 0
+    clock = time.monotonic
+    scheduler = MicroBatchScheduler(engine, clock=clock)
     with obs_trace.span("infer.localize_many"):
-        for i in range(len(gens)):
-            _advance(i, None)
-        while pending:
-            rounds += 1
-            ready, pending = pending, {}
-            for kind in _REQUEST_KINDS:
-                idxs = [i for i in sorted(ready) if ready[i].kind == kind]
-                if not idxs:
-                    continue
-                blocks = [ready[i].features for i in idxs]
-                lengths = [int(b.shape[0]) for b in blocks]
-                merged = evaluate_request(
-                    engine,
-                    InferRequest(kind, scratch[kind].gather(blocks)),
-                )
-                offsets = np.cumsum([0] + lengths)
-                for j, i in enumerate(idxs):
-                    _advance(i, merged[offsets[j] : offsets[j + 1]])
-        obs_metrics.inc("infer.gather_rounds", rounds)
-    return outcomes
+        jobs = [
+            ServeJob(
+                i,
+                pipeline.localize_requests(events, rng, halt_after=halt_after),
+                clock(),
+            )
+            for i, (events, rng) in enumerate(zip(event_sets, rngs))
+        ]
+        for job in jobs:
+            scheduler.add(job)
+        while scheduler.pending_requests:
+            scheduler.flush("drain")
+        obs_metrics.inc("infer.gather_rounds", scheduler.rounds)
+    for job in jobs:
+        if job.error is not None:
+            raise job.error
+    return [job.outcome for job in jobs]

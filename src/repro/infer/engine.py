@@ -6,7 +6,8 @@ directly any more — it emits :class:`InferRequest` items (see
 
 * :class:`EagerEngine` (backend ``"reference"``) delegates to the trained
   bundles' own ``predict_proba`` / ``predict_deta`` — the original code
-  path, kept as the parity reference.
+  path.  It answers ``MLPipeline.localize(engine=None)`` and is the
+  parity reference the planned path is tested against.
 * :class:`PlannedEngine` (backends ``"planned"`` / ``"int8"``) evaluates
   compiled :class:`~repro.infer.plan.InferencePlan` programs with
   pre-allocated arenas.  Post-processing (sigmoid, logit clipping, the
@@ -34,6 +35,10 @@ INFER_BACKENDS = ("reference", "planned", "int8")
 #: default (deployment-grade, sgemm-backed); float64 is the bit-parity
 #: mode the campaign driver selects by default.
 PLANNED_DTYPES = ("float32", "float64")
+
+#: Request kinds :func:`evaluate_request` answers, in the fixed order a
+#: batching round evaluates them.
+REQUEST_KINDS = ("background", "deta")
 
 
 @dataclass(frozen=True)

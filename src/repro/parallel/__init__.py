@@ -1,10 +1,11 @@
 """Parallel execution utilities.
 
-Deterministic seed spawning, a persistent shared-memory campaign executor,
-and a deterministic stage cache, per the hpc-parallel guidance: fan out
-independent trials/exposures across a long-lived pool while keeping every
-stream reproducible from a single master seed, and never recompute a pure
-stage whose inputs have not changed.
+A persistent shared-memory campaign executor and a deterministic stage
+cache, per the hpc-parallel guidance: fan out independent
+trials/exposures across a long-lived pool while keeping every stream
+reproducible from a single master seed (callers spawn one
+``SeedSequence`` per task), and never recompute a pure stage whose
+inputs have not changed.
 """
 
 from repro.parallel.cache import StageCache, config_token, resolve_cache
@@ -13,22 +14,16 @@ from repro.parallel.executor import (
     CampaignWorkerError,
     auto_chunksize,
     get_executor,
-    live_executor,
     shutdown_executors,
 )
-from repro.parallel.pool import chunk_indices, parallel_map, spawn_rngs
 
 __all__ = [
     "CampaignExecutor",
     "CampaignWorkerError",
     "StageCache",
     "auto_chunksize",
-    "chunk_indices",
     "config_token",
     "get_executor",
-    "live_executor",
-    "parallel_map",
     "resolve_cache",
     "shutdown_executors",
-    "spawn_rngs",
 ]

@@ -1,9 +1,9 @@
 """Persistent campaign executor: one pool, many map calls.
 
-The seed ``parallel_map`` built a fresh ``spawn`` pool on *every* call, so
-a figure campaign (dozens of sweep points, each mapping trials over a
-pool) paid interpreter startup + ``import numpy`` per point and pickled
-every argument and result through pipes.  :class:`CampaignExecutor` fixes
+A fresh ``spawn`` pool per call (the seed's design) made a figure
+campaign (dozens of sweep points, each mapping trials over a pool) pay
+interpreter startup + ``import numpy`` per point and pickle every
+argument and result through pipes.  :class:`CampaignExecutor` fixes
 both failure modes:
 
 * **Pool lifetime** — workers are spawned once and reused across campaign
@@ -19,7 +19,7 @@ both failure modes:
   small enough that heterogeneous exposures load-balance across workers,
   large enough that per-chunk overhead stays negligible.  Results are
   reassembled in input order, and per-task seeds are the caller's
-  responsibility (``spawn_rngs`` / ``SeedSequence.spawn``), so results
+  responsibility (one ``SeedSequence.spawn`` child per task), so results
   are bit-identical regardless of worker count or chunking.
 
 Fault tolerance
@@ -579,18 +579,6 @@ def get_executor(n_workers: int) -> CampaignExecutor:
         ex = CampaignExecutor(n_workers)
         _EXECUTORS[n_workers] = ex
     return ex
-
-
-def live_executor(n_workers: int) -> CampaignExecutor | None:
-    """The already-running executor for ``n_workers``, or None.
-
-    Lets ``parallel_map`` route small batches through a pool the caller
-    already paid for, without ever *starting* a pool for them.
-    """
-    ex = _EXECUTORS.get(max(1, int(n_workers)))
-    if ex is not None and not ex._closed:
-        return ex
-    return None
 
 
 def shutdown_executors() -> None:

@@ -1,7 +1,7 @@
 """Shared-memory transport for NumPy-bearing object trees.
 
-``parallel_map``-style campaigns ship large hit/ring arrays between the
-parent and its workers.  Pickling those arrays through a pipe copies every
+Process-pool campaigns ship large hit/ring arrays between the parent
+and its workers.  Pickling those arrays through a pipe copies every
 byte twice (serialize + deserialize) and stalls the queue on large
 payloads.  ``pack`` instead extracts every sizeable ``ndarray`` from an
 arbitrary picklable object tree into a single

@@ -214,7 +214,7 @@ def _bench_capped_chi_square():
 
 
 @register("skymap_evaluate_coarse8deg", op="skymap.evaluate_cells")
-def _bench_skymap_evaluate():
+def _bench_skymap_coarse():
     # Level-0 of the hierarchical sky search: 597 rings against every
     # coarse cell of the 8-degree hemisphere pixelization.  rows = cells
     # evaluated per call.

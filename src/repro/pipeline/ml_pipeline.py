@@ -45,7 +45,7 @@ from repro.localization.pipeline import (
     prepare_rings,
 )
 from repro.localization.skymap import SkyMap
-from repro.infer.engine import InferRequest, evaluate_request
+from repro.infer.engine import EagerEngine, InferRequest, evaluate_request
 from repro.models.background import BackgroundNet
 from repro.models.deta import DEtaNet
 from repro.obs import metrics as obs_metrics
@@ -369,16 +369,6 @@ class MLPipeline:
             sky=self._skymap(survivors),
         )
 
-    def _evaluate(self, request, engine) -> np.ndarray:
-        """Answer one inference request (eager bundles when no engine)."""
-        if engine is not None:
-            return evaluate_request(engine, request)
-        if request.kind == "background":
-            return self.background_net.predict_proba(request.features)
-        if request.kind == "deta":
-            return self.deta_net.predict_deta(request.features)
-        raise ValueError(f"unknown request kind {request.kind!r}")
-
     @obs_trace.traced("ml.localize")
     def localize(
         self,
@@ -389,6 +379,9 @@ class MLPipeline:
     ) -> MLPipelineOutcome:
         """Run the full Fig. 6 pipeline on one exposure's events.
 
+        Answers each request as it comes, one event at a time: this is
+        the per-event reference the batched paths are tested against.
+
         Args:
             events: Digitized events.
             rng: Random generator (approximation sampling).
@@ -397,17 +390,20 @@ class MLPipeline:
                 and report the current estimate; None runs to completion.
             engine: Inference backend answering the network requests
                 (see :func:`repro.infer.build_engine`); None evaluates
-                the bundles eagerly — the reference path.  The default
-                planned engine is bit-identical to the reference on
-                per-event blocks (pinned by ``tests/infer``).
+                the bundles eagerly through an
+                :class:`~repro.infer.engine.EagerEngine`.  A float64
+                planned engine is bit-identical to it on per-event
+                blocks (pinned by ``tests/infer``).
 
         Returns:
             An :class:`MLPipelineOutcome`.
         """
+        if engine is None:
+            engine = EagerEngine(self.background_net, self.deta_net)
         gen = self.localize_requests(events, rng, halt_after=halt_after)
         try:
             request = next(gen)
             while True:
-                request = gen.send(self._evaluate(request, engine))
+                request = gen.send(evaluate_request(engine, request))
         except StopIteration as stop:
             return stop.value

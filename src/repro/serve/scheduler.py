@@ -1,16 +1,18 @@
 """Micro-batch scheduler: coalesce requests across clients, flush in rounds.
 
-The serving counterpart of :func:`repro.infer.batch.localize_many`.  Each
-admitted localization is a :class:`ServeJob` wrapping the event's
-``localize_requests`` generator.  Jobs file :class:`InferRequest`\\ s into
-a pending set; a *flush* runs one lock-step round over the whole set —
-for each request kind, gather every pending feature block (reusing
-:class:`~repro.infer.batch.GatherScratch`), evaluate the fused engine
-once, scatter the row slices back, and advance each generator to its
-next request or its outcome.  Jobs are processed in ascending ``job_id``
-(submission) order within a round, so batching is FIFO-fair and the
-groupings match ``localize_many`` exactly when clients submit together —
-served outcomes are then bit-identical to the batch path.
+The one gather → evaluate → scatter core of the ML pipeline: the server
+drives it, and :func:`repro.infer.batch.localize_many` drains it for
+campaigns.  Each admitted localization is a :class:`ServeJob` wrapping
+the event's ``localize_requests`` generator.  Jobs file
+:class:`InferRequest`\\ s into a pending set; a *flush* runs one lock-step
+round over the whole set — for each request kind, gather every pending
+feature block (reusing :class:`~repro.infer.batch.GatherScratch`),
+evaluate the fused engine once, scatter the row slices back, and advance
+each generator to its next request or its outcome.  Jobs are processed
+in ascending ``job_id`` (submission) order within a round, so batching
+is FIFO-fair, and clients that submit together get exactly the groupings
+of ``localize_many`` — served outcomes are then bit-identical to the
+batch path.
 
 Flush *triggers* (checked by :meth:`MicroBatchScheduler.due`):
 
@@ -32,8 +34,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.infer.batch import _REQUEST_KINDS, GatherScratch
-from repro.infer.engine import InferRequest, evaluate_request
+from repro.infer.batch import GatherScratch
+from repro.infer.engine import REQUEST_KINDS, InferRequest, evaluate_request
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -122,7 +124,7 @@ class MicroBatchScheduler:
         self.flush_reasons: dict[str, int] = {}
         self._clock = clock
         self._pending: dict[int, ServeJob] = {}
-        self._scratch = {kind: GatherScratch() for kind in _REQUEST_KINDS}
+        self._scratch = {kind: GatherScratch() for kind in REQUEST_KINDS}
 
     @property
     def pending_requests(self) -> int:
@@ -174,8 +176,8 @@ class MicroBatchScheduler:
         """Run one fused round over every pending request.
 
         Requests are snapshot at entry; generators advanced by the round
-        file their *next* request into a fresh pending set (evaluated by
-        a later flush, exactly as ``localize_many`` rounds work).
+        file their *next* request into a fresh pending set, evaluated by
+        a later flush.
 
         Args:
             reason: The trigger that fired (recorded in
@@ -188,7 +190,7 @@ class MicroBatchScheduler:
         completed: list[ServeJob] = []
         rows = 0
         with obs_trace.span("serve.flush"):
-            for kind in _REQUEST_KINDS:
+            for kind in REQUEST_KINDS:
                 ids = [j for j in sorted(ready) if ready[j].request.kind == kind]
                 if not ids:
                     continue

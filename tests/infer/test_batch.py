@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.infer import GatherScratch, build_engine, localize_many
+import repro.obs as obs
+from repro.infer import GatherScratch, InferRequest, build_engine, localize_many
 
 
 def _simulated(geometry, response, seed, n):
@@ -91,6 +92,92 @@ class TestLocalizeMany:
             localize_many(tiny_models, [], [np.random.default_rng(0)])
 
 
+class ScriptedPipeline:
+    """Pipeline double: each "exposure" is a request-generator function."""
+
+    @staticmethod
+    def localize_requests(events, rng, halt_after=None):
+        return events()
+
+
+class EchoEngine:
+    """Engine double: answers every row with its first feature."""
+
+    def background_proba(self, features):
+        return features[:, 0]
+
+    def deta(self, features):
+        return features[:, 0]
+
+
+def scripted(n_requests, outcome):
+    """A generator function filing ``n_requests`` background requests."""
+    def requests():
+        for _ in range(n_requests):
+            yield InferRequest("background", np.zeros((2, 3)))
+        return outcome
+    return requests
+
+
+def run_scripted(*exposures):
+    return localize_many(
+        ScriptedPipeline(), exposures, [None] * len(exposures),
+        engine=EchoEngine(),
+    )
+
+
+class TestLocalizeManyThroughScheduler:
+    def test_unknown_request_kind_raises(self):
+        def bogus():
+            yield InferRequest("bogus", np.zeros((1, 3)))
+
+        with pytest.raises(ValueError, match="unknown request kind"):
+            run_scripted(bogus, scripted(1, "done"))
+
+    def test_generator_error_propagates_unchanged(self):
+        boom = RuntimeError("boom")
+
+        def failing():
+            yield InferRequest("background", np.zeros((1, 3)))
+            raise boom
+
+        with pytest.raises(RuntimeError, match="boom") as info:
+            run_scripted(failing)
+        assert info.value is boom
+
+    def test_lowest_index_failure_wins(self):
+        first, second = RuntimeError("first"), RuntimeError("second")
+
+        def fails_late():
+            yield InferRequest("background", np.zeros((1, 3)))
+            yield InferRequest("background", np.zeros((1, 3)))
+            raise first
+
+        def fails_early():
+            raise second
+            yield  # makes this a generator function
+
+        with pytest.raises(RuntimeError) as info:
+            run_scripted(fails_late, fails_early, scripted(1, "done"))
+        assert info.value is first
+
+    def test_rounds_and_request_latency_metrics(self):
+        obs.enable()
+        try:
+            outcomes = run_scripted(scripted(2, "a"), scripted(3, "b"))
+            snap = obs.metrics.REGISTRY.dump()
+        finally:
+            obs.disable()
+        assert outcomes == ["a", "b"]
+        assert snap["counters"]["infer.gather_rounds"] == 3
+        assert snap["counters"]["serve.rounds"] == 3
+        hist = snap["histograms"]["serve.request_ms"]
+        assert hist["count"] == 2
+        # Samples are >= 0, so a sum under a minute bounds each of them:
+        # t_submit comes from the scheduler's clock, not a zero stamp.
+        assert hist["total"] < 60_000
+
+
 class TestGatherScratch:
     def test_matches_concatenate(self):
         rng = np.random.default_rng(0)
@@ -175,9 +262,7 @@ class TestBatchedCampaign:
         )
         batched = run_trials(
             geometry, response, seed=31, n_trials=4,
-            config=TrialConfig(
-                condition="ml", infer_backend="planned", event_batch=2
-            ),
+            config=TrialConfig(condition="ml", event_batch=2),
             ml_pipeline=tiny_models,
         )
         # Cross-event concatenation may perturb the final ulp; the
@@ -190,9 +275,7 @@ class TestBatchedCampaign:
         # 5 trials in blocks of 2 leaves a final block of 1.
         errors = run_trials(
             geometry, response, seed=37, n_trials=5,
-            config=TrialConfig(
-                condition="ml", infer_backend="planned", event_batch=2
-            ),
+            config=TrialConfig(condition="ml", event_batch=2),
             ml_pipeline=tiny_models,
         )
         assert errors.shape == (5,)

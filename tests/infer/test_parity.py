@@ -187,16 +187,20 @@ class TestEndToEndCampaignParity:
     def test_planned_backend_bitwise_on_full_campaign(
         self, geometry, response, tiny_models
     ):
-        from repro.experiments.trials import TrialConfig, run_trials
+        from repro.experiments.trials import TrialConfig, run_trials, trial_error
 
-        ref = run_trials(
-            geometry, response, seed=13, n_trials=3,
-            config=TrialConfig(condition="ml"), ml_pipeline=tiny_models,
-        )
+        config = TrialConfig(condition="ml")
+        # Reference: each trial localized with the eager bundles.
+        ref = [
+            trial_error(
+                geometry, response, np.random.default_rng(s), config,
+                tiny_models, engine=None,
+            )
+            for s in np.random.SeedSequence(13).spawn(3)
+        ]
         planned = run_trials(
             geometry, response, seed=13, n_trials=3,
-            config=TrialConfig(condition="ml", infer_backend="planned"),
-            ml_pipeline=tiny_models,
+            config=config, ml_pipeline=tiny_models,
         )
         np.testing.assert_array_equal(planned, ref)
 

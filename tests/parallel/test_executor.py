@@ -17,9 +17,7 @@ from repro.parallel.executor import (
     CampaignWorkerError,
     auto_chunksize,
     get_executor,
-    live_executor,
 )
-from repro.parallel.pool import parallel_map
 
 
 # Module-level workers: spawn-context workers import them by reference.
@@ -147,19 +145,6 @@ class TestPooledExecutor:
         ex.close()
         with pytest.raises(RuntimeError, match="closed"):
             ex.map(square, [1])
-
-
-class TestParallelMapRouting:
-    def test_small_batch_serial_without_live_pool(self):
-        """No pool for this worker count -> tiny batches never start one."""
-        assert live_executor(3) is None
-        assert parallel_map(report_pid, [0], n_workers=3) == [os.getpid()]
-
-    def test_small_batch_rides_live_pool(self):
-        """Satellite fix: a warm pool serves batches below min_parallel."""
-        ex = get_executor(2)
-        (pid,) = parallel_map(report_pid, [0], n_workers=2)
-        assert pid in ex.worker_pids()
 
 
 class TestCampaignBitIdentity:
