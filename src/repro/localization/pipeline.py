@@ -108,6 +108,10 @@ def localize_rings(
 
     Returns:
         A :class:`LocalizationOutcome`.
+
+    Raises:
+        ValueError: If no refined candidate scores finite, as when a ring
+            has a non-finite axis, eta or deta; the message counts them.
     """
     obs_metrics.inc("localize.calls")
     cfg = config or BaselineConfig()
@@ -153,7 +157,18 @@ def localize_rings(
         if score < best_score:
             best_score = float(score)
             best = result
-    assert best is not None
+    if best is None:
+        # A ring with a non-finite axis, eta or deta makes every score NaN.
+        # Counted here, on the failure path only.
+        bad = ~(
+            np.isfinite(rings.axis).all(axis=1)
+            & np.isfinite(rings.eta)
+            & np.isfinite(rings.deta)
+        )
+        raise ValueError(
+            f"no refined candidate has a finite score: {int(bad.sum())} of "
+            f"{rings.num_rings} rings have a non-finite axis, eta or deta"
+        )
     sky = None
     if skymap is not None:
         sky = hierarchical_skymap(rings, skymap).sky

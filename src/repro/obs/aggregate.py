@@ -17,7 +17,8 @@ Merging rules:
 * **Counters / histograms** — added; buckets are fixed so histogram
   addition is exact.
 * **Gauges** — last writer wins (arrival order), except peak-style
-  gauges (``res.rss_peak_mb``), which merge with max — see
+  gauges (``res.rss_peak_mb``), which keep the max of every merge and
+  write until the registry is reset — see
   :func:`repro.obs.metrics.is_peak_gauge`.
 * **Profiles** — folded-stack sample counts and span self/total times
   add (:meth:`repro.obs.profile.ProfileBuffer.merge`), so the merged

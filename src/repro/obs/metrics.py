@@ -14,9 +14,9 @@ JSONL sink as span events and merge across processes
 (:func:`repro.obs.aggregate.merge_snapshot`): counters add, histograms add
 bucket-wise (buckets are fixed so merging is exact), gauges keep the last
 writer's value — except *peak-style* gauges (final name segment contains
-``peak``, e.g. ``res.rss_peak_mb``), which merge with **max** so a
-multi-worker merge reports the campaign-wide peak instead of whichever
-worker reported last.
+``peak``, e.g. ``res.rss_peak_mb``), which keep the **max** of every write
+and merge until the registry is reset, so a multi-worker merge reports the
+campaign-wide peak, and the parent's own later samples cannot lower it.
 """
 
 from __future__ import annotations
@@ -34,11 +34,13 @@ DEFAULT_BUCKETS_MS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
 
 
 def is_peak_gauge(name: str) -> bool:
-    """Whether a gauge merges with max across processes.
+    """Whether a gauge keeps the max of its writes and merges.
 
     Peak-style gauges carry ``peak`` in their final dotted segment
     (``res.rss_peak_mb``): they record a per-process high-water mark, so
-    the only lossless cross-process combination is the maximum.
+    the only lossless cross-process combination is the maximum, and a
+    later, lower write (the parent's own sample after a merge) must not
+    replace it.
     """
     return "peak" in name.rsplit(".", 1)[-1]
 
@@ -141,9 +143,17 @@ class MetricsRegistry:
             self.counters[name] = self.counters.get(name, 0) + n
 
     def set_gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to ``value`` (last write wins)."""
+        """Set gauge ``name`` to ``value`` (last write wins; a peak-style
+        gauge keeps the larger value)."""
         with self._lock:
-            self.gauges[name] = float(value)
+            self.gauges[name] = self._gauge_after(name, float(value))
+
+    def _gauge_after(self, name: str, value: float) -> float:
+        """Gauge ``name``'s value after a write of ``value``; call with the
+        lock held."""
+        if is_peak_gauge(name) and name in self.gauges:
+            return max(self.gauges[name], value)
+        return value
 
     def observe(self, name: str, value: float,
                 buckets: tuple[float, ...] = DEFAULT_BUCKETS_MS) -> None:
@@ -170,10 +180,7 @@ class MetricsRegistry:
             for name, v in snap.get("counters", {}).items():
                 self.counters[name] = self.counters.get(name, 0) + v
             for name, v in snap.get("gauges", {}).items():
-                if is_peak_gauge(name) and name in self.gauges:
-                    self.gauges[name] = max(self.gauges[name], v)
-                else:
-                    self.gauges[name] = v
+                self.gauges[name] = self._gauge_after(name, v)
             for name, d in snap.get("histograms", {}).items():
                 incoming = Histogram.from_dict(d)
                 mine = self.histograms.get(name)

@@ -9,10 +9,10 @@ process at a fixed interval and records the readings as gauges in the
 * ``res.rss_mb`` — current resident set size, MB (``/proc/self/status``
   ``VmRSS``; 0 where procfs is unavailable).
 * ``res.rss_peak_mb`` — peak RSS, MB (``VmHWM``, falling back to
-  ``resource.getrusage``).  The name's ``peak`` segment makes
-  :meth:`repro.obs.metrics.MetricsRegistry.merge` fold it with **max**
-  across processes, so the merged campaign trace reports the worst
-  worker, not the last one to report.
+  ``resource.getrusage``).  The name's ``peak`` segment makes the
+  registry keep the **max** of every write and merge, so the merged
+  campaign trace reports the worst process, not the last one to report
+  (the parent's own later samples included).
 * ``res.cpu_s`` — user+system CPU seconds consumed so far.
 * ``res.gc_collections`` — cumulative GC collections over all
   generations.

@@ -15,6 +15,10 @@ both failure modes:
   object skeleton crosses the pipe.  Campaign-constant context (geometry,
   response, trained pipeline, config) is broadcast to each worker *once*
   per change instead of per task.
+* **Threads** — a worker's BLAS/OpenMP pools start at one thread
+  (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``)
+  unless the caller's environment sizes them: the workers are the
+  parallelism.
 * **Scheduling** — tasks are dispatched in dynamically sized chunks:
   small enough that heterogeneous exposures load-balance across workers,
   large enough that per-chunk overhead stays negligible.  Results are
@@ -65,6 +69,7 @@ import multiprocessing as mp
 import os
 import pickle
 import queue as queue_mod
+import threading
 import time
 import traceback
 from collections.abc import Callable, Sequence
@@ -83,6 +88,14 @@ MAX_CHUNK_TASKS = 64
 
 #: Base respawn backoff; attempt ``k`` for a chunk waits ``k`` times this.
 RESTART_BACKOFF_S = 0.05
+
+#: Thread-pool sizes a worker starts at 1 unless the parent's environment
+#: sets them: BLAS starts one thread per CPU in every process, so ``N``
+#: workers on ``N`` CPUs would otherwise run ``N x N`` BLAS threads.
+_WORKER_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: Serializes the set-start-restore of those variables in ``os.environ``.
+_SPAWN_ENV_LOCK = threading.Lock()
 
 #: Process-wide fault-tolerance defaults, adjustable via :func:`configure`
 #: (the CLI's ``--max-retries`` / ``--task-timeout`` land here).
@@ -230,7 +243,12 @@ class CampaignExecutor:
             self._spawn_worker(wid)
 
     def _spawn_worker(self, wid: int) -> None:
-        """(Re)create worker ``wid`` with a fresh inbox and process."""
+        """(Re)create worker ``wid`` with a fresh inbox and process.
+
+        The worker inherits this process's environment at ``start``, with
+        each ``_WORKER_THREAD_VARS`` variable it leaves unset set to 1;
+        ``os.environ`` is restored before returning.
+        """
         inbox = self._ctx.SimpleQueue()
         proc = self._ctx.Process(
             target=_worker_main,
@@ -238,7 +256,15 @@ class CampaignExecutor:
             daemon=True,
             name=f"campaign-worker-{wid}",
         )
-        proc.start()
+        with _SPAWN_ENV_LOCK:
+            added = [name for name in _WORKER_THREAD_VARS if name not in os.environ]
+            try:
+                for name in added:
+                    os.environ[name] = "1"
+                proc.start()
+            finally:
+                for name in added:
+                    os.environ.pop(name, None)
         self._inboxes[wid] = inbox
         self._procs[wid] = proc
 

@@ -159,13 +159,15 @@ def _interaction_distances(
     depth: np.ndarray,
     energies: np.ndarray,
     material: Material,
+    norms: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rays that interact before leaving the stack, and how far they go.
 
     Each ray's optical ``depth`` is converted into a geometric distance on
     its own, so rays are walked a block at a time, which keeps the
     ``(layers, rays)`` temporaries in cache.  ``pos`` must hold at least
-    one ray.
+    one ray.  With ``norms``, ``dirs`` are raw directions of those
+    lengths, divided by them a block at a time.
 
     Returns:
         ``(rows, t_star)`` — ascending indices of the rays that interact
@@ -174,17 +176,22 @@ def _interaction_distances(
     hit_rows, hit_dist = [], []
     for start in range(0, pos.shape[0], _BLOCK):
         block = slice(start, start + _BLOCK)
+        block_dirs = dirs[block]
+        if norms is not None:
+            block_dirs = block_dirs / norms[block, None]  # reprolint: disable=NUM002 -- transport_photons rejects a zero norm before any draw
         # A ray whose bounding-box interval is empty crosses no slab: its
         # material path is exactly 0 and it escapes, as the full walk
         # would decide.  Only the rest walk the slabs.
-        box_in, box_out = geometry.box_intersections(pos[block], dirs[block])
-        rows = np.nonzero(box_out > np.maximum(box_in, _MIN_START_CM))[0] + start
-        t_in, t_out = geometry.segment_intersections(pos[rows], dirs[rows])
+        box_in, box_out = geometry.box_intersections(pos[block], block_dirs)
+        in_box = np.nonzero(box_out > np.maximum(box_in, _MIN_START_CM))[0]
+        rows = in_box + start
+        ray_dirs = block_dirs[in_box]
+        t_in, t_out = geometry.segment_intersections(pos[rows], ray_dirs)
         # total_mu > 0 at every energy (Compton never vanishes); the
         # floor only shields degenerate test materials from 0-division.
         mu = np.maximum(total_mu(energies[rows], material), np.finfo(np.float64).tiny)
         t_star, escaped = _material_path_to_geometric(
-            t_in, t_out, depth[rows] / mu, dirs[rows, 2] > 0
+            t_in, t_out, depth[rows] / mu, ray_dirs[:, 2] > 0
         )
         hit_rows.append(rows[~escaped])
         hit_dist.append(t_star[~escaped])
@@ -234,10 +241,11 @@ def transport_photons(
     ):
         if not np.isfinite(values).all():
             raise ValueError(f"photon {name} must be finite")
+    # Checked here, before any draw; generation 0 divides by the norms a
+    # block of rays at a time, so no unit copy of every direction exists.
     norms = norm_columns(directions[:, 0], directions[:, 1], directions[:, 2])
     if np.any(norms == 0):
         raise ValueError("zero-length direction vector")
-    directions = directions / norms[:, None]
     n = origins.shape[0]
     if directions.shape[0] != n or energies.shape[0] != n:
         raise ValueError("origins, directions, energies must have equal length")
@@ -272,10 +280,13 @@ def transport_photons(
         depth = rng.exponential(1.0, size=live_idx.size)
 
         act_rows, t_star = _interaction_distances(
-            geometry, pos, dirs, depth, e, material
+            geometry, pos, dirs, depth, e, material, norms
         )
         act_idx = live_idx[act_rows]
         act_dirs = dirs[act_rows]
+        if norms is not None:
+            act_dirs /= norms[act_rows, None]
+            norms = None  # later generations carry unit directions
         new_pos = pos[act_rows] + t_star[:, None] * act_dirs
         e_act = e[act_rows]
 

@@ -236,10 +236,6 @@ class MicroBatchScheduler:
             job.done = True
             self.live -= 1
             completed.append(job)
-            if obs_trace.is_enabled():
-                obs_metrics.observe(
-                    "serve.request_ms", (self._clock() - job.t_submit) * 1e3
-                )
         except Exception as exc:  # surface in the job, keep the batch alive
             job.error = exc
             job.done = True

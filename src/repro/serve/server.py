@@ -20,7 +20,8 @@ convenience wrapper (own event loop, all exposures submitted together);
 :meth:`~LocalizationServer.localize_stream` is the iterator-of-chunks
 streaming shape from SNIPPETS.md snippet 3.
 
-Per-request latency lands in the ``serve.request_ms`` histogram and
+Per-request latency (submit to resolved outcome) lands in the
+``serve.request_ms`` histogram, recorded here and nowhere else, and
 batching behavior in the ``serve.*`` counters when ``repro.obs`` is
 enabled; the default SLO spec's ``"serve"`` section puts ceilings on the
 percentiles (see ``docs/serving.md``).
@@ -33,6 +34,8 @@ import time
 from dataclasses import dataclass, field
 
 from repro.infer.engine import build_engine
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 from repro.serve.admission import AdmissionController, ServerClosed
 from repro.serve.scheduler import BatchPolicy, MicroBatchScheduler, ServeJob
 
@@ -228,8 +231,12 @@ class LocalizationServer:
             return
         if job.error is not None:
             fut.set_exception(job.error)
-        else:
-            fut.set_result(job.outcome)
+            return
+        if obs_trace.is_enabled():
+            obs_metrics.observe(
+                "serve.request_ms", (self._clock() - job.t_submit) * 1e3
+            )
+        fut.set_result(job.outcome)
 
     async def _run(self) -> None:
         """Scheduler loop: flush when due, otherwise sleep until wake."""

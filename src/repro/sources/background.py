@@ -94,9 +94,38 @@ class BackgroundModel:
             A :class:`PhotonBatch` labeled LABEL_BACKGROUND with
             ``source_direction=None``.
         """
+        return self._generate_after(None, geometry, rng, n_photons)
+
+    def _generate_after(
+        self,
+        head: PhotonBatch | None,
+        geometry: DetectorGeometry,
+        rng: np.random.Generator,
+        n_photons: int | None = None,
+    ) -> PhotonBatch:
+        """:meth:`generate`, with ``head``'s photons in the first rows.
+
+        Draws what :meth:`generate` draws and returns the arrays of
+        ``PhotonBatch.concatenate([head, self.generate(...)])``, but each
+        array is allocated once for both and the background rows are
+        written in place, so no per-source batch is copied.
+        """
         side = self._plane_side(geometry)
         if n_photons is None:
             n_photons = int(rng.poisson(self.expected_photons(geometry)))
+        first = 0 if head is None else head.num_photons
+        n = first + n_photons
+        origins = np.empty((n, 3))
+        directions = np.empty((n, 3))
+        energies = np.empty(n)
+        times = np.empty(n)
+        labels = np.full(n, LABEL_BACKGROUND, dtype=np.int64)
+        if head is not None:
+            origins[:first] = head.origins
+            directions[:first] = head.directions
+            energies[:first] = head.energies
+            times[:first] = head.times
+            labels[:first] = head.labels
         cos_p = rng.uniform(self.cos_polar_min, 1.0, size=n_photons)
         az = rng.uniform(0.0, 2.0 * np.pi, size=n_photons)
         a = rng.uniform(-side / 2.0, side / 2.0, size=n_photons)
@@ -104,12 +133,11 @@ class BackgroundModel:
 
         center = (0.0, 0.0, (geometry.z_top + geometry.z_bottom) / 2.0)
         dist = geometry.height + side
-        origins = np.empty((n_photons, 3))
-        directions = np.empty((n_photons, 3))
         # Element-wise arithmetic, a block of photons at a time so its
         # temporaries stay in cache.
         for start in range(0, n_photons, _BLOCK):
             rows = slice(start, start + _BLOCK)
+            out = slice(first + start, first + start + _BLOCK)
             cos_r = cos_p[rows]
             sin_r = np.sqrt(np.clip(1.0 - cos_r**2, 0.0, 1.0))
             # Unit vectors from detector toward each photon's origin
@@ -127,18 +155,17 @@ class BackgroundModel:
                 column += center[k]
                 column += a[rows] * u[k]
                 column += b[rows] * v[k]
-                origins[rows, k] = column
-                directions[rows, k] = beam[k]
-        energies = self.spectrum.sample(n_photons, rng)
-        times = rng.uniform(0.0, self.duration_s, size=n_photons)
-        labels = np.full(n_photons, LABEL_BACKGROUND, dtype=np.int64)
+                origins[out, k] = column
+                directions[out, k] = beam[k]
+        energies[first:] = self.spectrum.sample(n_photons, rng)
+        times[first:] = rng.uniform(0.0, self.duration_s, size=n_photons)
         return PhotonBatch(
             origins=origins,
             directions=directions,
             energies=energies,
             times=times,
             labels=labels,
-            source_direction=None,
+            source_direction=None if head is None else head.source_direction,
         )
 
 

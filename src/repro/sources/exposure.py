@@ -1,10 +1,10 @@
 """Exposure assembly: one observation window of GRB + background photons.
 
 ``simulate_exposure`` is the single entry point the experiment harness uses
-to produce raw detector truth for one trial: it generates the photon
-batches, transports them through the geometry, and returns everything the
-detector-response and reconstruction stages need, with ground truth
-attached.
+to produce raw detector truth for one trial: it generates one photon
+batch (burst rows first, then background), transports it through the
+geometry, and returns everything the detector-response and reconstruction
+stages need, with ground truth attached.
 """
 
 from __future__ import annotations
@@ -67,12 +67,12 @@ def simulate_exposure(
     if grb is None and background is None:
         raise ValueError("at least one of grb/background must be provided")
     with obs_trace.span("sources.generate"):
-        batches = [
-            source.generate(geometry, rng)
-            for source in (grb, background)
-            if source is not None
-        ]
-        batch = PhotonBatch.concatenate(batches) if len(batches) > 1 else batches[0]
+        batch = None if grb is None else grb.generate(geometry, rng)
+        if background is not None:
+            # The background fills the rows after the burst's, in arrays
+            # allocated once for both: the photons exist once, and the
+            # burst's own batch is dropped before transport.
+            batch = background._generate_after(batch, geometry, rng)
     transport = transport_photons(
         geometry, batch.origins, batch.directions, batch.energies, rng
     )

@@ -171,11 +171,8 @@ class TestLocalizeManyThroughScheduler:
         assert outcomes == ["a", "b"]
         assert snap["counters"]["infer.gather_rounds"] == 3
         assert snap["counters"]["serve.rounds"] == 3
-        hist = snap["histograms"]["serve.request_ms"]
-        assert hist["count"] == 2
-        # Samples are >= 0, so a sum under a minute bounds each of them:
-        # t_submit comes from the scheduler's clock, not a zero stamp.
-        assert hist["total"] < 60_000
+        # Request latency is the server's: a drained batch records none.
+        assert "serve.request_ms" not in snap["histograms"]
 
 
 class TestGatherScratch:

@@ -1,5 +1,7 @@
 """Tests for the baseline localization pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,30 @@ class TestLocalizeRings:
         s0 = np.array([0.0, 0.0, 1.0])
         out = localize_rings(rings, np.random.default_rng(1), initial=s0)
         assert out.direction is not None
+
+
+class TestNonFiniteRings:
+    """A non-finite ring fails with a ValueError that counts the bad rings."""
+
+    @pytest.mark.parametrize("field", ["eta", "deta"])
+    def test_one_nan_ring(self, rings, field):
+        values = getattr(rings, field).copy()
+        values[5] = np.nan
+        with pytest.raises(ValueError, match=f" 1 of {rings.num_rings} rings "):
+            localize_rings(replace(rings, **{field: values}), np.random.default_rng(0))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_counts_every_non_finite_ring(self, rings):
+        eta, deta, axis = rings.eta.copy(), rings.deta.copy(), rings.axis.copy()
+        eta[5] = np.nan
+        deta[7] = np.nan
+        axis[3] = np.inf
+        bad = replace(rings, eta=eta, deta=deta, axis=axis)
+        with pytest.raises(
+            ValueError,
+            match=f" 3 of {rings.num_rings} rings have a non-finite axis, eta or deta",
+        ):
+            localize_rings(bad, np.random.default_rng(0))
 
 
 class TestLocalizeBaseline:

@@ -156,6 +156,17 @@ class TestPeakGaugeMerge:
         REGISTRY.merge({"gauges": {"res.rss_peak_mb": 55.0}})
         assert REGISTRY.dump()["gauges"]["res.rss_peak_mb"] == 55.0
 
+    def test_peak_gauge_never_decreases_until_reset(self):
+        obs.enable()
+        obs.set_gauge("res.rss_peak_mb", 234.0)
+        obs.set_gauge("res.rss_peak_mb", 34.0)  # lower own sample: kept
+        assert REGISTRY.dump()["gauges"]["res.rss_peak_mb"] == 234.0
+        obs.set_gauge("res.rss_peak_mb", 300.0)
+        assert REGISTRY.dump()["gauges"]["res.rss_peak_mb"] == 300.0
+        REGISTRY.reset()
+        obs.set_gauge("res.rss_peak_mb", 34.0)
+        assert REGISTRY.dump()["gauges"]["res.rss_peak_mb"] == 34.0
+
     def test_plain_gauge_still_last_writer_wins(self):
         obs.enable()
         obs.set_gauge("res.rss_mb", 120.0)

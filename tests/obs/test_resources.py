@@ -3,6 +3,7 @@
 import time
 
 import repro.obs as obs
+from repro.obs import aggregate as obs_aggregate
 from repro.obs import resources
 from repro.obs.metrics import REGISTRY, is_peak_gauge
 from repro.obs.resources import (
@@ -52,6 +53,26 @@ class TestSampleNow:
     def test_records_nothing_when_disabled(self):
         ResourceMonitor().sample_now()
         assert REGISTRY.dump()["gauges"] == {}
+
+
+class TestWorkerPeakSurvivesParentSamples:
+    def test_merged_worker_peak_outlives_parent_samples_and_stop(self):
+        """Two workers each allocated ~200 MB more than the parent ever did:
+        the parent's own later samples must not lower the merged peak."""
+        obs.enable()
+        own_peak = read_rss_mb()[1]
+        for extra in (200.0, 180.0):
+            gauges = {"res.rss_peak_mb": own_peak + extra}
+            obs_aggregate.merge_snapshot({"events": [], "metrics": {"gauges": gauges}})
+        assert REGISTRY.dump()["gauges"]["res.rss_peak_mb"] == own_peak + 200.0
+        monitor = ResourceMonitor()
+        monitor.sample_now()
+        assert REGISTRY.dump()["gauges"]["res.rss_peak_mb"] == own_peak + 200.0
+        monitor.start(interval_s=60.0)
+        monitor.stop()
+        gauges = REGISTRY.dump()["gauges"]
+        assert gauges["res.rss_peak_mb"] == own_peak + 200.0
+        assert gauges["res.rss_mb"] < own_peak + 200.0  # plain gauges: own
 
 
 class TestLifecycle:

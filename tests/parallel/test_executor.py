@@ -48,6 +48,13 @@ def draw_normal(seed_seq):
     return np.random.default_rng(seed_seq).normal(size=8)
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def thread_env(x):
+    return tuple(os.environ.get(name) for name in THREAD_VARS)
+
+
 class TestAutoChunksize:
     def test_small_workload_single_task_chunks(self):
         assert auto_chunksize(3, 4) == 1
@@ -145,6 +152,20 @@ class TestPooledExecutor:
         ex.close()
         with pytest.raises(RuntimeError, match="closed"):
             ex.map(square, [1])
+
+
+class TestWorkerThreads:
+    def test_blas_pinned_to_one_thread_unless_caller_sets_it(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        with CampaignExecutor(2) as ex:
+            seen = set(ex.map(thread_env, list(range(4)), chunksize=1))
+        assert seen == {("1", "3", "1")}
+        # The parent's environment is left as it was.
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+        assert "MKL_NUM_THREADS" not in os.environ
+        assert os.environ["OMP_NUM_THREADS"] == "3"
 
 
 class TestCampaignBitIdentity:

@@ -281,3 +281,17 @@ class TestTransportOracle:
         live = ~want[1]
         assert live.sum() > 100
         assert got[0][live].tobytes() == want[0][live].tobytes()
+
+
+class TestTransportInputs:
+    def test_non_unit_directions_normalized_without_writing_inputs(self):
+        geometry, origins, directions, energies = _recipe_batch("adapt", 3)
+        lengths = np.random.default_rng(17).uniform(0.5, 3.0, origins.shape[0])
+        scaled = directions * lengths[:, None]
+        inputs = (origins, scaled, energies)
+        before = [a.copy() for a in inputs]
+        # Ray blocks are divided by their norms as the full walk divides
+        # the whole batch, bit for bit.
+        _assert_same_transport(geometry, *inputs, seed=18)
+        for a, b in zip(inputs, before):
+            assert a.tobytes() == b.tobytes()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.infer.engine import EagerEngine
 from repro.pipeline.ml_pipeline import MLPipeline, MLPipelineConfig
 
 
@@ -71,6 +72,28 @@ class TestMLPipeline:
             intermediate_directions=[],
         )
         assert out.error_degrees(np.array([0.0, 1.0, 0.0])) == pytest.approx(90.0)
+
+
+class NanDetaEngine:
+    """``engine``, except that every dEta prediction is NaN."""
+
+    def __init__(self, engine):
+        self._engine = engine
+
+    def background_proba(self, features):
+        return self._engine.background_proba(features)
+
+    def deta(self, features):
+        return np.full(features.shape[0], np.nan)
+
+
+class TestNonFiniteEngine:
+    def test_nan_deta_raises_value_error(self, events, tiny_models):
+        engine = NanDetaEngine(
+            EagerEngine(tiny_models.background_net, tiny_models.deta_net)
+        )
+        with pytest.raises(ValueError, match="non-finite axis, eta or deta"):
+            tiny_models.localize(events, np.random.default_rng(0), engine=engine)
 
 
 class TestDetaMode:

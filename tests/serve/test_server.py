@@ -20,6 +20,7 @@ from repro.serve import (
     ServerOverloaded,
     serve_events,
 )
+from tests.pipeline.test_ml_pipeline import NanDetaEngine
 
 #: A batch policy that never self-triggers during a test: flushes only
 #: happen via drain (or an explicit size trigger the test arranges).
@@ -268,6 +269,33 @@ class TestDrain:
         asyncio.run(scenario())
 
 
+class TestNonFiniteEngine:
+    def test_nan_deta_fails_its_request_and_drain_returns(
+        self, tiny_models, engine, served_inputs
+    ):
+        _, event_sets = served_inputs
+        config = ServeConfig(policy=PARKED)
+
+        async def scenario():
+            server = LocalizationServer(
+                tiny_models, engine=NanDetaEngine(engine), config=config
+            )
+            await server.start()
+            request = asyncio.ensure_future(
+                server.submit(event_sets[0], np.random.default_rng(0), wait=True)
+            )
+            for _ in range(4):
+                await asyncio.sleep(0)
+            await asyncio.wait_for(server.drain(), timeout=60.0)
+            with pytest.raises(ValueError, match="non-finite axis, eta or deta"):
+                await request
+            await server.close()
+            return server.stats()
+
+        stats = asyncio.run(scenario())
+        assert stats["live"] == 0
+
+
 class TestObservability:
     def test_request_latency_lands_in_serve_histogram(
         self, tiny_models, engine, served_inputs
@@ -287,6 +315,9 @@ class TestObservability:
             obs.disable()
         hist = snap["histograms"]["serve.request_ms"]
         assert hist["count"] == 3
+        # Samples are >= 0, so a sum under a minute bounds each of them:
+        # t_submit comes from the server's clock, not a zero stamp.
+        assert hist["total"] < 60_000
         assert snap["counters"]["serve.rounds"] >= 1
         assert snap["counters"]["serve.accepted"] == 3
 
