@@ -2,13 +2,19 @@
 
 The detector is a stack of horizontal scintillator slabs (``Layer``)
 separated by gaps.  Photon transport (``repro.physics.transport``) needs
-fast, vectorized answers to three questions:
+fast, vectorized answers to four questions:
 
 1. Over which path lengths is a ray inside each slab?
    (``DetectorGeometry.segment_intersections``)
 2. Does a ray cross the stack's bounding box at all?
    (``DetectorGeometry.box_intersections``)
-3. Is a point inside active scintillator? (``DetectorGeometry.layer_index``)
+3. Which slab does a ray enter first, and over which path lengths?
+   (``DetectorGeometry.entry_slabs``)
+4. Is a point inside active scintillator? (``DetectorGeometry.layer_index``)
+
+The first three share one lateral interval per ray
+(``DetectorGeometry.lateral_intervals``), which a caller asking more than
+one of them computes once.
 
 The stack is axis-aligned: layers are normal to z, with the top layer first.
 Coordinates are in cm; the detector is centered on the z axis with its top
@@ -88,6 +94,10 @@ class DetectorGeometry:
             "_z_faces",
             np.asarray(sorted(tops + bottoms, reverse=True), dtype=np.float64),
         )
+        # Lookup tables of entry_slabs.  They are not dataclass fields, so
+        # cache tokens, which hash the fields, do not change with them.
+        object.__setattr__(self, "_faces_ascending", self._z_faces[::-1].copy())
+        object.__setattr__(self, "_entry_faces", _entry_face_table(tops, bottoms))
 
     # -- basic extents -------------------------------------------------------
 
@@ -190,8 +200,9 @@ class DetectorGeometry:
             views of layer-major arrays, so each layer's column is
             contiguous.
         """
-        t_in, t_out = self._stack_intervals(
-            origins, directions, self._z_faces[0::2], self._z_faces[1::2]
+        origins, directions = _as_rays(origins, directions)
+        t_in, t_out = self.slab_intervals(
+            origins[:, 2], directions[:, 2], self.lateral_intervals(origins, directions)
         )
         return t_in.T, t_out.T
 
@@ -213,17 +224,140 @@ class DetectorGeometry:
         Returns:
             Tuple ``(t_in, t_out)``, each ``(n,)``.
         """
+        origins, directions = _as_rays(origins, directions)
+        return self.box_intervals(
+            origins[:, 2], directions[:, 2], self.lateral_intervals(origins, directions)
+        )
+
+    # -- the same queries on shared lateral intervals -------------------------
+
+    def lateral_intervals(
+        self, origins: np.ndarray, directions: np.ndarray
+    ) -> np.ndarray:
+        """Path-length intervals of rays inside the shared lateral extent.
+
+        Every slab interval is the ray's z interval for that slab cut to
+        these, so a caller that asks for the box, the entry slab and the
+        slabs of the same rays computes them once and passes them (or
+        their columns for a subset of the rays) to each query.
+
+        Args:
+            origins: ``(n, 3)`` ray origins.
+            directions: ``(n, 3)`` unit ray directions.
+
+        Returns:
+            ``(4, n)`` rows ``x_lo, x_hi, y_lo, y_hi``.
+        """
+        origins, directions = _as_rays(origins, directions)
+        half = self.half_size
+        lateral = np.empty((4, origins.shape[0]))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for axis in (0, 1):
+                lateral[2 * axis : 2 * axis + 2] = _slab_interval(
+                    origins[:, axis], directions[:, axis], half, -half
+                )
+        return lateral
+
+    def box_intervals(
+        self, oz: np.ndarray, dz: np.ndarray, lateral: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`box_intersections` of rays with precomputed
+        :meth:`lateral_intervals`.
+
+        Args:
+            oz: ``(n,)`` z of the ray origins.
+            dz: ``(n,)`` z of the unit ray directions.
+            lateral: ``(4, n)`` lateral intervals of the rays.
+
+        Returns:
+            Tuple ``(t_in, t_out)``, each ``(n,)``.
+        """
         t_in, t_out = self._stack_intervals(
-            origins, directions, self._z_faces[:1], self._z_faces[-1:]
+            oz, dz, self._z_faces[:1], self._z_faces[-1:], lateral
         )
         return t_in[0], t_out[0]
 
+    def slab_intervals(
+        self, oz: np.ndarray, dz: np.ndarray, lateral: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`segment_intersections` of rays with precomputed
+        :meth:`lateral_intervals`, layer-major.
+
+        Args:
+            oz: ``(n,)`` z of the ray origins.
+            dz: ``(n,)`` z of the unit ray directions.
+            lateral: ``(4, n)`` lateral intervals of the rays.
+
+        Returns:
+            Tuple ``(t_in, t_out)``, each ``(num_layers, n)``.
+        """
+        return self._stack_intervals(
+            oz, dz, self._z_faces[0::2], self._z_faces[1::2], lateral
+        )
+
+    def entry_slabs(
+        self, oz: np.ndarray, dz: np.ndarray, lateral: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Interval of the slab each ray enters first, where that is certain.
+
+        A downward ray meets the slabs top layer first, an upward ray
+        bottom layer first (the walk order).  Along it the far-face
+        distances ``(face - oz) / dz`` never decrease, since rounding is
+        monotone; every slab interval starts at or after the lateral entry
+        ``t0 = max(0, x_lo, y_lo)``, so a slab whose far face lies at or
+        before ``t0`` is empty.  The entry slab is the first one whose far
+        face lies past the ray's z at ``t0`` (one ``searchsorted``), kept
+        only if the far face of the slab before it in walk order lies at
+        or before ``t0`` in t-space: then every earlier slab is empty, bit
+        for bit as :meth:`slab_intervals` computes it.  The entry slab's
+        interval is reduced in :meth:`slab_intervals`' operand order, so
+        it equals that slab's row there.
+
+        The entry slab may itself be empty.  If the ray leaves the lateral
+        extent (``min(x_hi, y_hi)``) at or before its ``t_in``, the ray
+        crosses no slab at all: every later slab's interval starts at or
+        after this one's and ends at or before the lateral exit.
+
+        Rays parallel to the faces (``|dz| < 1e-300``), rays whose entry
+        slab fails the check and rays with no slab ahead get NaN.
+
+        Args:
+            oz: ``(n,)`` z of the ray origins.
+            dz: ``(n,)`` z of the unit ray directions.
+            lateral: ``(4, n)`` lateral intervals of the rays.
+
+        Returns:
+            Tuple ``(t_in, t_out)``, each ``(n,)``.
+        """
+        t0 = np.maximum(np.maximum(0.0, lateral[0]), lateral[2])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # Column 2k (downward) or 2k + 1 (upward) of the face table,
+            # where k counts the faces below the ray's z at t0.
+            code = np.searchsorted(self._faces_ascending, oz + t0 * dz)
+            code += code
+            code += dz > 0
+            prev_far, near, far = (faces.take(code) for faces in self._entry_faces)
+            for dist in (prev_far, near, far):
+                dist -= oz
+                dist /= dz
+        t_in = np.maximum(0.0, near, out=near)
+        np.maximum(t_in, lateral[0], out=t_in)
+        np.maximum(t_in, lateral[2], out=t_in)
+        t_out = np.minimum(far, lateral[1], out=far)
+        np.minimum(t_out, lateral[3], out=t_out)
+        unknown = prev_far > t0
+        unknown |= np.abs(dz) < 1e-300
+        np.putmask(t_in, unknown, np.nan)
+        np.putmask(t_out, unknown, np.nan)
+        return t_in, t_out
+
     def _stack_intervals(
         self,
-        origins: np.ndarray,
-        directions: np.ndarray,
+        oz: np.ndarray,
+        dz: np.ndarray,
         z_upper: np.ndarray,
         z_lower: np.ndarray,
+        lateral: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(k, n)`` intervals of ``n`` rays inside ``k`` z slabs of the
         shared lateral extent.
@@ -231,24 +365,54 @@ class DetectorGeometry:
         Each interval is ``max(0, z, x, y)`` to ``min(z, x, y)``, reduced
         left to right in that order, so a tie between equal operands
         (signed zeros) resolves to the operand a slab-by-slab, axis-by-axis
-        loop picks.  The x and y intervals are computed once per ray and
-        broadcast over the slabs.
+        loop picks.  The x and y intervals are broadcast over the slabs.
         """
-        origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
-        directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-        half = self.half_size
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            t_in, t_out = _slab_interval(
-                origins[:, 2], directions[:, 2], z_upper[:, None], z_lower[:, None]
-            )
-            np.maximum(0.0, t_in, out=t_in)
-            for axis in (0, 1):
-                lo, hi = _slab_interval(
-                    origins[:, axis], directions[:, axis], half, -half
-                )
-                np.maximum(t_in, lo, out=t_in)
-                np.minimum(t_out, hi, out=t_out)
+            t_in, t_out = _slab_interval(oz, dz, z_upper[:, None], z_lower[:, None])
+        np.maximum(0.0, t_in, out=t_in)
+        np.maximum(t_in, lateral[0], out=t_in)
+        np.minimum(t_out, lateral[1], out=t_out)
+        np.maximum(t_in, lateral[2], out=t_in)
+        np.minimum(t_out, lateral[3], out=t_out)
         return t_in, t_out
+
+
+def _as_rays(origins, directions) -> tuple[np.ndarray, np.ndarray]:
+    """``(n, 3)`` float64 views of ray origins and directions."""
+    return (
+        np.atleast_2d(np.asarray(origins, dtype=np.float64)),
+        np.atleast_2d(np.asarray(directions, dtype=np.float64)),
+    )
+
+
+def _entry_face_table(tops: list[float], bottoms: list[float]) -> np.ndarray:
+    """Faces :meth:`DetectorGeometry.entry_slabs` looks up, ``(3, 4L + 2)``.
+
+    Column ``2k`` serves a downward ray and ``2k + 1`` an upward one, where
+    ``k`` of the ``2L`` faces lie below the ray's z at its lateral entry.
+    The rows are the far face of the slab before the candidate in walk
+    order, then the candidate's near and far faces.  An infinite face
+    stands in where there is no slab before (a far distance of ``-inf``,
+    so the check passes), and NaN faces where there is no candidate.
+    """
+    num_layers = len(tops)
+    table = np.empty((3, 4 * num_layers + 2))
+    for k in range(2 * num_layers + 1):
+        # Downward: layers whose bottom face lies at or above z are behind.
+        j = num_layers - (k + 1) // 2
+        if j < num_layers:
+            before = bottoms[j - 1] if j > 0 else np.inf
+            table[:, 2 * k] = (before, tops[j], bottoms[j])
+        else:
+            table[:, 2 * k] = np.nan
+        # Upward: layers whose top face lies below z are behind.
+        j = num_layers - 1 - k // 2
+        if j >= 0:
+            before = tops[j + 1] if j < num_layers - 1 else -np.inf
+            table[:, 2 * k + 1] = (before, bottoms[j], tops[j])
+        else:
+            table[:, 2 * k + 1] = np.nan
+    return table
 
 
 def _slab_interval(

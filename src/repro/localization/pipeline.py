@@ -110,8 +110,8 @@ def localize_rings(
         A :class:`LocalizationOutcome`.
 
     Raises:
-        ValueError: If no refined candidate scores finite, as when a ring
-            has a non-finite axis, eta or deta; the message counts them.
+        ValueError: If a ring has a non-finite axis, eta or deta (the
+            message counts them), or no refined candidate scores finite.
     """
     obs_metrics.inc("localize.calls")
     cfg = config or BaselineConfig()
@@ -122,6 +122,24 @@ def localize_rings(
             used=np.zeros(0, dtype=bool),
             iterations=0,
             converged=False,
+        )
+    # Every value is checked once, before any arithmetic: a NaN makes
+    # every score NaN, but an infinite axis can score finite (the cap
+    # absorbs it), so the scores cannot stand in for this check.  The
+    # rings are counted on the failure path only.
+    if not (
+        np.isfinite(rings.axis).all()
+        and np.isfinite(rings.eta).all()
+        and np.isfinite(rings.deta).all()
+    ):
+        bad = ~(
+            np.isfinite(rings.axis).all(axis=1)
+            & np.isfinite(rings.eta)
+            & np.isfinite(rings.deta)
+        )
+        raise ValueError(
+            f"cannot localize: {int(bad.sum())} of {rings.num_rings} rings "
+            f"have a non-finite axis, eta or deta"
         )
     if initial is not None:
         seeds = np.atleast_2d(np.asarray(initial, dtype=np.float64))
@@ -158,17 +176,7 @@ def localize_rings(
             best_score = float(score)
             best = result
     if best is None:
-        # A ring with a non-finite axis, eta or deta makes every score NaN.
-        # Counted here, on the failure path only.
-        bad = ~(
-            np.isfinite(rings.axis).all(axis=1)
-            & np.isfinite(rings.eta)
-            & np.isfinite(rings.deta)
-        )
-        raise ValueError(
-            f"no refined candidate has a finite score: {int(bad.sum())} of "
-            f"{rings.num_rings} rings have a non-finite axis, eta or deta"
-        )
+        raise ValueError("no refined candidate has a finite score")
     sky = None
     if skymap is not None:
         sky = hierarchical_skymap(rings, skymap).sky

@@ -315,6 +315,31 @@ def _bench_transport():
     ), batch.num_photons
 
 
+@register("physics_transport_apt_exposure", op="physics.transport")
+def _bench_transport_apt():
+    # One APT exposure through its 20 layers: a 0.15 MeV/cm^2 burst at
+    # polar 20 degrees plus the quiet L2 background, the campaign recipe
+    # of apt_dim_campaign.  Each call reseeds its generator.  rows =
+    # photons per call.
+    from repro.geometry.tiles import apt_geometry
+    from repro.physics.transport import transport_photons
+    from repro.sources.background import BackgroundModel
+    from repro.sources.grb import GRBSource, PhotonBatch
+
+    geometry = apt_geometry()
+    rng = _rng(41)
+    grb = GRBSource(fluence_mev_cm2=0.15, polar_angle_deg=20.0, azimuth_deg=40.0)
+    background = BackgroundModel(flux_per_cm2_s=1.0, cos_polar_min=0.0)
+    batch = PhotonBatch.concatenate(
+        [grb.generate(geometry, rng), background.generate(geometry, rng)]
+    )
+    return (
+        lambda: transport_photons(
+            geometry, batch.origins, batch.directions, batch.energies, _rng(43)
+        )
+    ), batch.num_photons
+
+
 @register("detector_digitize_exposure", op="detector.digitize")
 def _bench_digitize():
     # The ADAPT exposure's hits through the default response, keeping

@@ -12,8 +12,12 @@ Per the hpc-parallel guides, the inner loop is over *interaction
 generations* (a handful), never over photons; all per-photon work is NumPy
 array arithmetic on structure-of-arrays state.  Rays that miss the stack's
 bounding box (about 55% of an exposure's first generation on either
-instrument) escape at once; only the rest walk the slabs, in the z order
-the ray meets them, a block of rays at a time.  A photon's fate and
+instrument) escape at once.  A ray that interacts in the first slab it
+enters, or leaves the stack before reaching any, is settled at that slab
+(87% of APT's walked rays and 94% of ADAPT's on the bench recipes); only
+the rest walk every slab, in the z order the ray meets them, a block of
+rays at a time.  Each walked ray's lateral interval and cross sections
+are computed once.  A photon's fate and
 escaped energy are kept current as it interacts, so an escape writes
 nothing.  These shortcuts leave every output and the random stream
 bit-identical to walking every ray's intervals sorted by entry.
@@ -35,7 +39,7 @@ from repro.physics.compton import (
     sample_klein_nishina,
     scattered_energy,
 )
-from repro.physics.crosssections import interaction_probabilities, total_mu
+from repro.physics.crosssections import compton_mu, pair_mu, photoelectric_mu
 
 #: Scattered photons below this energy are absorbed on the spot (their
 #: residual range is sub-millimeter in CsI), MeV.
@@ -148,6 +152,53 @@ def _material_path_to_geometric(
     return t_star, escaped
 
 
+def _walk_slabs(
+    geometry: DetectorGeometry,
+    oz: np.ndarray,
+    dz: np.ndarray,
+    lateral: np.ndarray,
+    required_path: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_material_path_to_geometric` over every slab, settling rays
+    at their entry slab where that gives the same bits.
+
+    Every slab before a ray's entry slab in walk order is empty
+    (:meth:`~repro.geometry.tiles.DetectorGeometry.entry_slabs`), so a
+    path ``0 < required_path < `` the entry slab's length ends in it, at
+    the distance the full walk computes.  A ray that leaves the lateral
+    extent at or before the entry slab starts crosses no slab and
+    escapes.  The rest take the full walk: paths of 0 or of at least the
+    entry slab's length, and rays whose entry slab is not known (NaN,
+    which compares false).
+
+    Args:
+        geometry: Slab-stack geometry.
+        oz: ``(m,)`` z of the ray origins.
+        dz: ``(m,)`` z of the unit ray directions.
+        lateral: ``(4, m)`` the rays' lateral intervals.
+        required_path: ``(m,)`` material path to consume, cm.
+
+    Returns:
+        ``(t_star, escaped)`` as :func:`_material_path_to_geometric`.
+    """
+    entry_in, entry_out = geometry.entry_slabs(oz, dz, lateral)
+    t_star = np.maximum(entry_in, _MIN_START_CM)
+    length = np.maximum(entry_out, _MIN_START_CM)
+    length -= t_star
+    t_star += required_path
+    escaped = ~((required_path > 0) & (required_path < length))
+    crosses_none = np.minimum(lateral[1], lateral[3]) <= entry_in
+    full = np.nonzero(escaped & ~crosses_none)[0]
+    if full.size:
+        t_in, t_out = geometry.slab_intervals(oz[full], dz[full], lateral[:, full])
+        t_star[full], escaped[full] = _material_path_to_geometric(
+            t_in.T, t_out.T, required_path[full], dz[full] > 0
+        )
+    obs_metrics.inc("transport.rays_walked", oz.size)
+    obs_metrics.inc("transport.rays_full_walk", full.size)
+    return t_star, escaped
+
+
 #: Rays per block of :func:`_interaction_distances`.
 _BLOCK = 16384
 
@@ -160,20 +211,22 @@ def _interaction_distances(
     energies: np.ndarray,
     material: Material,
     norms: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rays that interact before leaving the stack, and how far they go.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rays that interact before leaving the stack, how far they go, and
+    their Compton probability there.
 
     Each ray's optical ``depth`` is converted into a geometric distance on
-    its own, so rays are walked a block at a time, which keeps the
-    ``(layers, rays)`` temporaries in cache.  ``pos`` must hold at least
-    one ray.  With ``norms``, ``dirs`` are raw directions of those
-    lengths, divided by them a block at a time.
+    its own, so rays are walked (:func:`_walk_slabs`) a block at a time,
+    which keeps the temporaries in cache.  ``pos`` must hold at least one
+    ray.  With ``norms``, ``dirs`` are raw directions of those lengths,
+    divided by them a block at a time.
 
     Returns:
-        ``(rows, t_star)`` — ascending indices of the rays that interact
-        and the geometric distance to each interaction point, cm.
+        ``(rows, t_star, p_compton)`` — ascending indices of the rays that
+        interact, the geometric distance to each interaction point (cm)
+        and the Compton share of the attenuation at each ray's energy.
     """
-    hit_rows, hit_dist = [], []
+    hit_rows, hit_dist, hit_p_compton = [], [], []
     for start in range(0, pos.shape[0], _BLOCK):
         block = slice(start, start + _BLOCK)
         block_dirs = dirs[block]
@@ -181,21 +234,34 @@ def _interaction_distances(
             block_dirs = block_dirs / norms[block, None]  # reprolint: disable=NUM002 -- transport_photons rejects a zero norm before any draw
         # A ray whose bounding-box interval is empty crosses no slab: its
         # material path is exactly 0 and it escapes, as the full walk
-        # would decide.  Only the rest walk the slabs.
-        box_in, box_out = geometry.box_intersections(pos[block], block_dirs)
+        # would decide.  Only the rest walk the slabs.  One lateral
+        # interval per ray serves the box and every slab.
+        oz, dz = pos[block, 2], block_dirs[:, 2]
+        lateral = geometry.lateral_intervals(pos[block], block_dirs)
+        box_in, box_out = geometry.box_intervals(oz, dz, lateral)
         in_box = np.nonzero(box_out > np.maximum(box_in, _MIN_START_CM))[0]
         rows = in_box + start
-        ray_dirs = block_dirs[in_box]
-        t_in, t_out = geometry.segment_intersections(pos[rows], ray_dirs)
-        # total_mu > 0 at every energy (Compton never vanishes); the
-        # floor only shields degenerate test materials from 0-division.
-        mu = np.maximum(total_mu(energies[rows], material), np.finfo(np.float64).tiny)
-        t_star, escaped = _material_path_to_geometric(
-            t_in, t_out, depth[rows] / mu, ray_dirs[:, 2] > 0
+        oz, dz, lateral = oz[in_box], dz[in_box], lateral[:, in_box]
+        # Cross sections once per ray: the walk needs their sum and the
+        # interaction step the Compton share, as interaction_probabilities
+        # forms it.  The sum is > 0 at every energy (Compton never
+        # vanishes); the floor only shields degenerate test materials.
+        e_rows = energies[rows]
+        mu_compton = compton_mu(e_rows, material)
+        mu = np.maximum(
+            mu_compton + photoelectric_mu(e_rows, material) + pair_mu(e_rows, material),
+            np.finfo(np.float64).tiny,
         )
-        hit_rows.append(rows[~escaped])
-        hit_dist.append(t_star[~escaped])
-    return np.concatenate(hit_rows), np.concatenate(hit_dist)
+        t_star, escaped = _walk_slabs(geometry, oz, dz, lateral, depth[rows] / mu)
+        hit = ~escaped
+        hit_rows.append(rows[hit])
+        hit_dist.append(t_star[hit])
+        hit_p_compton.append(mu_compton[hit] / mu[hit])
+    return (
+        np.concatenate(hit_rows),
+        np.concatenate(hit_dist),
+        np.concatenate(hit_p_compton),
+    )
 
 
 @obs_trace.traced("physics.transport")
@@ -215,7 +281,8 @@ def transport_photons(
         geometry: Slab-stack detector geometry.
         origins: ``(n, 3)`` photon start positions, cm (typically on or
             above the top face, or on a lateral entry plane).
-        directions: ``(n, 3)`` unit travel directions.
+        directions: ``(n, 3)`` travel directions of any non-zero length;
+            each is divided by its norm, and the array is not written.
         energies: ``(n,)`` photon energies, MeV.
         rng: NumPy random generator (use spawned children for parallelism).
         material: Scintillator material (all layers share it).
@@ -279,7 +346,7 @@ def transport_photons(
         # depend on which rays the box test below culls.
         depth = rng.exponential(1.0, size=live_idx.size)
 
-        act_rows, t_star = _interaction_distances(
+        act_rows, t_star, p_c = _interaction_distances(
             geometry, pos, dirs, depth, e, material, norms
         )
         act_idx = live_idx[act_rows]
@@ -290,7 +357,6 @@ def transport_photons(
         new_pos = pos[act_rows] + t_star[:, None] * act_dirs
         e_act = e[act_rows]
 
-        p_c, _p_pe, _p_pp = interaction_probabilities(e_act, material)
         u = rng.uniform(0.0, 1.0, size=act_idx.size)
         # Photoelectric and pair both terminate with full local deposition,
         # and so do sub-cutoff Compton scatters.

@@ -364,3 +364,123 @@ class TestSegmentIntersectionsOracle:
         box_in, box_out = geo.box_intersections(origins, directions)
         assert np.all(t_in >= box_in[:, None])
         assert np.all(t_out <= box_out[:, None])
+
+
+def entry_rays(geo):
+    """Rays whose entry slab is clear of face rounding, as (origins, dirs):
+    through the top and bottom faces, laterally at mid-slab and mid-gap
+    heights (up and down, shallow and steep), and from mid-slab points as
+    after an interaction."""
+    half = geo.half_size
+    slab_z = [0.5 * (layer.z_top + layer.z_bottom) for layer in geo.layers]
+    gap_z = [
+        0.5 * (upper.z_bottom + lower.z_top)
+        for upper, lower in zip(geo.layers, geo.layers[1:])
+        if upper.z_bottom > lower.z_top
+    ]
+    rays = []
+    for d in ([0.2, -0.1, -1.0], [-0.3, 0.2, -0.7], [0.0, 0.0, -1.0]):
+        rays.append(([1.0, 2.0, geo.z_top + 1.0], d))
+        rays.append(([1.0, 2.0, geo.z_bottom - 1.0], [d[0], d[1], -d[2]]))
+    for z in slab_z + gap_z:
+        for dz in (-0.4, -0.05, 0.05, 0.4):
+            rays.append(([-half - 1.0, 0.3, z], [1.0, 0.2, dz]))
+            rays.append(([0.3, half + 1.0, z], [0.1, -1.0, dz]))
+    for z in slab_z:
+        for dz in (-1.0, -0.3, 0.3, 1.0):
+            rays.append(([0.5, -0.5, z], [0.3, 0.1, dz]))
+    origins = np.array([r[0] for r in rays], dtype=np.float64)
+    return origins, _unit([r[1] for r in rays])
+
+
+def grazing_face_rays(geo):
+    """Nearly horizontal rays that cross the side of the stack at a face's
+    height, to within an ulp: their z at the lateral entry may round
+    across the face, so the slab found from it must be checked in t-space.
+    The ray may then graze one slab for less than an ulp of z and run on
+    in the next."""
+    half = geo.half_size
+    faces = [layer.z_top for layer in geo.layers] + [
+        layer.z_bottom for layer in geo.layers
+    ]
+    origins, directions = [], []
+    for face in faces:
+        for z in (np.nextafter(face, -np.inf), face, np.nextafter(face, np.inf)):
+            for dz in (-1e-4, -1e-5, 1e-5, 1e-4):
+                d = _unit([1.0, 0.2, dz])
+                for back in (0.7, 1.0, 3.3, 7.1):
+                    origins.append(np.array([-half, 0.3, z]) - back * d)
+                    directions.append(d)
+    return np.array(origins), np.array(directions)
+
+
+def first_nonempty_slab(geo, origins, directions):
+    """``(t_in, t_out, has, layer)`` from the per-layer loop: each ray's
+    ``(n, L)`` intervals, whether any slab is non-empty after the
+    transport walk's 1e-12 clip, and the first such layer in walk order
+    (top layer first downward, bottom layer first upward)."""
+    t_in, t_out = segment_intersections_loop(geo, origins, directions)
+    eps = 1e-12
+    nonempty = np.maximum(t_out, eps) > np.maximum(t_in, eps)
+    walk = np.where(
+        directions[:, 2:3] > 0,
+        np.arange(geo.num_layers)[::-1],
+        np.arange(geo.num_layers),
+    )
+    in_walk = np.take_along_axis(nonempty, walk, axis=1)
+    layer = walk[np.arange(walk.shape[0]), np.argmax(in_walk, axis=1)]
+    return t_in, t_out, in_walk.any(axis=1), layer
+
+
+@pytest.mark.parametrize("name", sorted(STACKS))
+class TestEntrySlabsOracle:
+    """The entry slab against the per-layer loop, bit for bit."""
+
+    def _check(self, geo, origins, directions):
+        lateral = geo.lateral_intervals(origins, directions)
+        e_in, e_out = geo.entry_slabs(origins[:, 2], directions[:, 2], lateral)
+        t_in, t_out, has, layer = first_nonempty_slab(geo, origins, directions)
+        known = ~np.isnan(e_in)
+        assert np.array_equal(known, ~np.isnan(e_out))
+        eps = 1e-12
+        nonempty = known & (np.maximum(e_out, eps) > np.maximum(e_in, eps))
+        # A non-empty entry slab is the first non-empty slab in walk order.
+        rows = np.nonzero(nonempty)[0]
+        assert np.all(has[rows])
+        _assert_bitwise(e_in[rows], t_in[rows, layer[rows]])
+        _assert_bitwise(e_out[rows], t_out[rows, layer[rows]])
+        # A ray that leaves the lateral extent by the entry slab's start
+        # crosses no slab.
+        exits = known & (np.minimum(lateral[1], lateral[3]) <= e_in)
+        assert not np.any(has[exits])
+        assert not np.any(exits & nonempty)
+        box_in, box_out = geo.box_intersections(origins, directions)
+        in_box = box_out > np.maximum(box_in, eps)
+        return known, nonempty, exits, in_box
+
+    def test_entry_rays(self, name):
+        geo = STACKS[name]
+        origins, directions = entry_rays(geo)
+        known, nonempty, exits, in_box = self._check(geo, origins, directions)
+        assert in_box.all()
+        # Each ray's entry slab is found, up or down: it holds path, or
+        # the ray leaves the lateral extent before reaching it.
+        assert np.all(nonempty | exits)
+
+    def test_grazing_face_rays(self, name):
+        geo = STACKS[name]
+        known, nonempty, _, in_box = self._check(geo, *grazing_face_rays(geo))
+        assert np.any(known & nonempty)
+
+    def test_random_and_edge_rays(self, name):
+        geo = STACKS[name]
+        origins, directions = (
+            np.concatenate(parts)
+            for parts in zip(
+                _random_rays(geo, np.random.default_rng(41)), _edge_rays(geo)
+            )
+        )
+        known, _, _, in_box = self._check(geo, origins, directions)
+        # Only rays parallel to the faces, or whose z at the lateral entry
+        # rounds across a face, are left unknown.
+        assert known[in_box].mean() > 0.99

@@ -54,6 +54,27 @@ class TestNonFiniteRings:
         with pytest.raises(ValueError, match=f" 1 of {rings.num_rings} rings "):
             localize_rings(replace(rings, **{field: values}), np.random.default_rng(0))
 
+    # An infinite axis can score finite under the chi-square cap, so the
+    # check must not lean on the scores; it runs before any arithmetic.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_one_infinite_axis(self, rings, value):
+        axis = rings.axis.copy()
+        axis[3] = value
+        with pytest.raises(ValueError, match=f" 1 of {rings.num_rings} rings "):
+            localize_rings(replace(rings, axis=axis), np.random.default_rng(0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_infinite_axis_component_with_seed(self, rings):
+        axis = rings.axis.copy()
+        axis[3, 2] = np.inf
+        with pytest.raises(ValueError, match=f" 1 of {rings.num_rings} rings "):
+            localize_rings(
+                replace(rings, axis=axis),
+                np.random.default_rng(0),
+                initial=np.array([0.0, 0.0, 1.0]),
+            )
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_counts_every_non_finite_ring(self, rings):
         eta, deta, axis = rings.eta.copy(), rings.deta.copy(), rings.axis.copy()

@@ -63,8 +63,17 @@ class TestMergedTelemetry:
             assert serial_counts[name] > 0
             assert pooled_counts[name] == serial_counts[name], name
         # Worker-side counters merged into the parent registry.
-        assert (pooled_metrics["counters"]["transport.photons"]
-                == serial_metrics["counters"]["transport.photons"])
+        for name in (
+            "transport.photons",
+            "transport.rays_walked",
+            "transport.rays_full_walk",
+        ):
+            assert (pooled_metrics["counters"][name]
+                    == serial_metrics["counters"][name]), name
+        # Most walked rays are settled in the slab they enter first.
+        walked = serial_metrics["counters"]["transport.rays_walked"]
+        full = serial_metrics["counters"]["transport.rays_full_walk"]
+        assert 0 < full < walked / 2
         assert (pooled_metrics["counters"]["localize.calls"]
                 == serial_metrics["counters"]["localize.calls"])
         # Executor-only telemetry exists only in the pooled run.

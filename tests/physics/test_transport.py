@@ -3,16 +3,27 @@
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.geometry.tiles import adapt_geometry, apt_geometry
+from repro.obs.metrics import REGISTRY
 from repro.physics.transport import (
     FATE_ABSORBED,
     FATE_ESCAPED,
     FATE_NO_INTERACTION,
     _material_path_to_geometric,
+    _walk_slabs,
     transport_photons,
 )
 from repro.sources.background import BackgroundModel
 from repro.sources.grb import GRBSource, PhotonBatch
+from tests.geometry.test_tiles import (
+    STACKS,
+    _edge_rays,
+    _random_rays,
+    entry_rays,
+    first_nonempty_slab,
+    grazing_face_rays,
+)
 from tests.physics.transport_oracle import (
     material_path_to_geometric_sorted,
     segment_intersections_loop,
@@ -192,17 +203,19 @@ class TestTransportValidation:
             transport_photons(geometry, rng=np.random.default_rng(0), **batch)
 
 
-def _recipe_batch(instrument, k):
-    """Bench-recipe exposure ``k``: a burst plus the instrument's background."""
+def _recipe_batch(instrument, k, polar=None):
+    """Bench-recipe exposure ``k``: a burst plus the instrument's background,
+    the burst at the recipe's polar angle unless ``polar`` is given."""
     rng = np.random.default_rng([2024, 18, k])
     if instrument == "adapt":
         geometry = adapt_geometry()
         fluence = (0.1, 0.4, 0.8, 1.2)[k]
-        polar, background = 30.0, BackgroundModel()
+        polar = 30.0 if polar is None else polar
+        background = BackgroundModel()
     else:
         geometry = apt_geometry()
         fluence = (0.05, 0.1, 0.2, 0.3)[k]
-        polar = 20.0
+        polar = 20.0 if polar is None else polar
         background = BackgroundModel(flux_per_cm2_s=1.0, cos_polar_min=0.0)
     grb = GRBSource(
         fluence_mev_cm2=fluence,
@@ -234,10 +247,20 @@ def _assert_same_transport(geometry, origins, directions, energies, seed, **kw):
 class TestTransportOracle:
     """Culling, the shared lateral test and the z-order walk change no bit."""
 
-    @pytest.mark.parametrize("k", range(4))
+    # The recipe's polar angle, then a burst from the zenith (entering
+    # mostly through the top face) and one at 85 degrees (mostly through
+    # the sides, at every height of the stack).
+    @pytest.mark.parametrize(
+        "k, polar",
+        [
+            *(pytest.param(k, None, id=str(k)) for k in range(4)),
+            pytest.param(3, 0.0, id="3-polar0"),
+            pytest.param(3, 85.0, id="3-polar85"),
+        ],
+    )
     @pytest.mark.parametrize("instrument", ["adapt", "apt"])
-    def test_recipe_exposures_match_full_walk(self, instrument, k):
-        geometry, origins, directions, energies = _recipe_batch(instrument, k)
+    def test_recipe_exposures_match_full_walk(self, instrument, k, polar):
+        geometry, origins, directions, energies = _recipe_batch(instrument, k, polar)
         res = _assert_same_transport(
             geometry, origins, directions, energies, seed=[7, k]
         )
@@ -281,6 +304,182 @@ class TestTransportOracle:
         live = ~want[1]
         assert live.sum() > 100
         assert got[0][live].tobytes() == want[0][live].tobytes()
+
+
+def _far_face_rays(geo):
+    """Photons on the far face of a slab, as after an interaction there,
+    and one ulp either side of it, heading on through the stack."""
+    rays = []
+    for layer in geo.layers:
+        for face, dz in ((layer.z_bottom, -1.0), (layer.z_top, 1.0)):
+            for z in (face, np.nextafter(face, -np.inf), np.nextafter(face, np.inf)):
+                for d in ([0.0, 0.0, dz], [0.3, -0.2, dz], [0.9, 0.1, 0.05 * dz]):
+                    rays.append(([0.5, -0.5, z], d))
+    return rays
+
+
+def _gap_only_rays(geo):
+    """Rays that enter the box laterally in a gap and leave it there."""
+    half = geo.half_size
+    rays = []
+    for upper, lower in zip(geo.layers, geo.layers[1:]):
+        if upper.z_bottom > lower.z_top:
+            z = 0.5 * (upper.z_bottom + lower.z_top)
+            for dz in (-0.005, 0.005):
+                rays.append(([-half - 1.0, 0.2, z], [1.0, 0.1, dz]))
+            # Across a corner of the box.
+            rays.append(([-half - 0.5, half - 1.0, z], [1.0, 1.0, 0.001]))
+    return rays
+
+
+def _near_parallel_rays(geo):
+    """Rays at and around the parallel cut ``|dz| < 1e-300``, from the
+    side and from inside slabs, gaps and faces.  ``[0.8, 0.6, dz]`` has
+    norm 1, so the tiny components are kept exactly."""
+    half = geo.half_size
+    heights = [0.5 * (layer.z_top + layer.z_bottom) for layer in geo.layers]
+    heights += [geo.layers[0].z_bottom, geo.z_top, geo.z_bottom]
+    heights += [
+        0.5 * (upper.z_bottom + lower.z_top)
+        for upper, lower in zip(geo.layers, geo.layers[1:])
+    ]
+    rays = []
+    for z in heights:
+        for dz in (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-300, 1e-300, -1e-200, 1e-200):
+            rays.append(([-half - 1.0, 0.1, z], [0.8, 0.6, dz]))
+            rays.append(([0.1, 0.2, z], [-0.8, 0.6, dz]))
+    return rays
+
+
+def _walk_rays(geo):
+    """Every ray family the entry step has to get right, as (origins, dirs)."""
+    families = [
+        entry_rays(geo),
+        grazing_face_rays(geo),
+        _edge_rays(geo),
+        _random_rays(geo, np.random.default_rng(43)),
+    ]
+    for rays in (_far_face_rays(geo), _gap_only_rays(geo), _near_parallel_rays(geo)):
+        if rays:
+            families.append(
+                (
+                    np.array([r[0] for r in rays], dtype=np.float64),
+                    np.array([r[1] for r in rays], dtype=np.float64),
+                )
+            )
+    origins, directions = (np.concatenate(parts) for parts in zip(*families))
+    # Only unit vectors reach the walk; the near-parallel rays already are.
+    norms = np.linalg.norm(directions, axis=1)
+    directions[norms != 1.0] /= norms[norms != 1.0, None]
+    return origins, directions
+
+
+def _walk(geo, origins, directions, required):
+    """``_walk_slabs`` on the rays, with its two counters."""
+    lateral = geo.lateral_intervals(origins, directions)
+    obs.enable()
+    try:
+        got = _walk_slabs(geo, origins[:, 2], directions[:, 2], lateral, required)
+        counters = REGISTRY.dump()["counters"]
+    finally:
+        obs.disable()
+    return got, counters["transport.rays_walked"], counters["transport.rays_full_walk"]
+
+
+def _assert_same_walk(got, want):
+    np.testing.assert_array_equal(got[1], want[1])
+    live = ~want[1]
+    assert got[0][live].tobytes() == want[0][live].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STACKS))
+class TestEntrySlabWalk:
+    """Settling rays at their entry slab gives the full walk's bits."""
+
+    @pytest.mark.parametrize("scale", [0.3, 3.0])
+    def test_matches_sorted_walk(self, name, scale):
+        geo = STACKS[name]
+        origins, directions = _walk_rays(geo)
+        required = np.random.default_rng(44).exponential(scale, origins.shape[0])
+        assert np.all(required > 0)
+        got, walked, full = _walk(geo, origins, directions, required)
+        t_in, t_out = segment_intersections_loop(geo, origins, directions)
+        want = material_path_to_geometric_sorted(t_in, t_out, required)
+        _assert_same_walk(got, want)
+        assert walked == origins.shape[0]
+        assert 0 < full < walked
+        assert (~want[1]).sum() > 100
+
+    def test_entry_rays_skip_the_full_walk(self, name):
+        # A short path ends in the entry slab of every ray that has one,
+        # upward or downward; the others cross no slab and escape.
+        geo = STACKS[name]
+        origins, directions = entry_rays(geo)
+        required = np.full(origins.shape[0], 1e-3)
+        got, walked, full = _walk(geo, origins, directions, required)
+        t_in, t_out = segment_intersections_loop(geo, origins, directions)
+        want = material_path_to_geometric_sorted(t_in, t_out, required)
+        _assert_same_walk(got, want)
+        assert walked == origins.shape[0]
+        assert full == 0
+        assert (~want[1]).sum() > origins.shape[0] // 2
+
+    def test_required_zero_matches_z_order_walk(self, name):
+        # At a path of exactly 0 the z-order walk answers the entry of the
+        # first slab in walk order, even an empty one (rays entering at
+        # mid-stack have one); settling at the entry slab would not.
+        geo = STACKS[name]
+        origins, directions = _walk_rays(geo)
+        required = np.zeros(origins.shape[0])
+        got, _, _ = _walk(geo, origins, directions, required)
+        t_in, t_out = segment_intersections_loop(geo, origins, directions)
+        want = _material_path_to_geometric(
+            t_in, t_out, required, directions[:, 2] > 0
+        )
+        _assert_same_walk(got, want)
+        if geo.num_layers > 1:
+            _, _, has, layer = first_nonempty_slab(geo, origins, directions)
+            first = np.where(directions[:, 2] > 0, geo.num_layers - 1, 0)
+            assert np.any(has & (layer != first) & ~want[1])
+
+    def test_required_equal_to_entry_length(self, name):
+        # A path of exactly the entry slab's length ties interaction with
+        # escape when that slab is the ray's last non-empty one.
+        geo = STACKS[name]
+        origins, directions = _walk_rays(geo)
+        t_in, t_out, has, layer = first_nonempty_slab(geo, origins, directions)
+        rows = np.nonzero(has)[0]
+        origins, directions = origins[rows], directions[rows]
+        t_in, t_out, layer = t_in[rows], t_out[rows], layer[rows]
+        start = np.maximum(t_in, 1e-12)
+        lengths = np.maximum(np.maximum(t_out, 1e-12) - start, 0.0)
+        required = lengths[np.arange(rows.size), layer]
+        got, _, _ = _walk(geo, origins, directions, required)
+        want = material_path_to_geometric_sorted(t_in, t_out, required)
+        _assert_same_walk(got, want)
+        # Rays with no slab beyond the entry slab escape; on a stack,
+        # the others interact at its far end.
+        assert want[1].any()
+        assert want[1].all() == (geo.num_layers == 1)
+
+
+@pytest.mark.parametrize("name", ["adapt", "apt"])
+class TestGapOnlyRays:
+    """Rays that cross only a gap are settled as escapes at the entry step."""
+
+    def test_gap_only_rays_escape_without_the_full_walk(self, name):
+        geo = STACKS[name]
+        rays = _gap_only_rays(geo)
+        origins = np.array([r[0] for r in rays], dtype=np.float64)
+        directions = np.array([r[1] for r in rays], dtype=np.float64)
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        box_in, box_out = geo.box_intersections(origins, directions)
+        assert np.all(box_out > np.maximum(box_in, 1e-12))
+        assert not first_nonempty_slab(geo, origins, directions)[2].any()
+        required = np.random.default_rng(45).exponential(1.0, origins.shape[0])
+        got, _, full = _walk(geo, origins, directions, required)
+        assert got[1].all()
+        assert full == 0
 
 
 class TestTransportInputs:

@@ -1,9 +1,12 @@
 """Tests for the Fig. 6 iterative ML pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.infer.engine import EagerEngine
+from repro.pipeline import ml_pipeline
 from repro.pipeline.ml_pipeline import MLPipeline, MLPipelineConfig
 
 
@@ -94,6 +97,30 @@ class TestNonFiniteEngine:
         )
         with pytest.raises(ValueError, match="non-finite axis, eta or deta"):
             tiny_models.localize(events, np.random.default_rng(0), engine=engine)
+
+
+def with_infinite_axis(prepare_rings):
+    """``prepare_rings``, except that ring 3's axis is infinite."""
+
+    def prepare(events, config=None, **kw):
+        rings = prepare_rings(events, config, **kw)
+        axis = rings.axis.copy()
+        axis[3] = np.inf
+        return replace(rings, axis=axis)
+
+    return prepare
+
+
+class TestNonFiniteRings:
+    # The rings are rejected before any arithmetic: no numpy warning, and
+    # no later NaN score standing in for the check.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_axis_raises_value_error(self, events, tiny_models, monkeypatch):
+        monkeypatch.setattr(
+            ml_pipeline, "prepare_rings", with_infinite_axis(ml_pipeline.prepare_rings)
+        )
+        with pytest.raises(ValueError, match=" 1 of .* non-finite axis, eta or deta"):
+            tiny_models.localize(events, np.random.default_rng(0))
 
 
 class TestDetaMode:

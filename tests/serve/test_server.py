@@ -20,7 +20,8 @@ from repro.serve import (
     ServerOverloaded,
     serve_events,
 )
-from tests.pipeline.test_ml_pipeline import NanDetaEngine
+from repro.pipeline import ml_pipeline
+from tests.pipeline.test_ml_pipeline import NanDetaEngine, with_infinite_axis
 
 #: A batch policy that never self-triggers during a test: flushes only
 #: happen via drain (or an explicit size trigger the test arranges).
@@ -288,6 +289,39 @@ class TestNonFiniteEngine:
                 await asyncio.sleep(0)
             await asyncio.wait_for(server.drain(), timeout=60.0)
             with pytest.raises(ValueError, match="non-finite axis, eta or deta"):
+                await request
+            await server.close()
+            return server.stats()
+
+        stats = asyncio.run(scenario())
+        assert stats["live"] == 0
+
+
+class TestNonFiniteRings:
+    # The rings are rejected before any arithmetic: no numpy warning, and
+    # no later NaN score standing in for the check.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_axis_fails_its_request_and_drain_returns(
+        self, tiny_models, engine, served_inputs, monkeypatch
+    ):
+        monkeypatch.setattr(
+            ml_pipeline, "prepare_rings", with_infinite_axis(ml_pipeline.prepare_rings)
+        )
+        _, event_sets = served_inputs
+        config = ServeConfig(policy=PARKED)
+
+        async def scenario():
+            server = LocalizationServer(tiny_models, engine=engine, config=config)
+            await server.start()
+            request = asyncio.ensure_future(
+                server.submit(event_sets[0], np.random.default_rng(0), wait=True)
+            )
+            for _ in range(4):
+                await asyncio.sleep(0)
+            await asyncio.wait_for(server.drain(), timeout=60.0)
+            with pytest.raises(
+                ValueError, match=" 1 of .* non-finite axis, eta or deta"
+            ):
                 await request
             await server.close()
             return server.stats()
