@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.geometry.fibers import FiberGrid
 from repro.geometry.tiles import DetectorGeometry
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.physics.transport import TransportResult
 from repro.sources.grb import PhotonBatch
@@ -201,9 +202,15 @@ class DetectorResponse:
         model assumes gain = 1 everywhere, so this is *unmodeled*.
         """
         cfg = self.config
-        x, y = positions[:, 0], positions[:, 1]
         w = 2.0 * np.pi / cfg.nonuniformity_period_cm
-        return 1.0 + cfg.nonuniformity_amplitude * np.sin(w * x) * np.sin(w * y)
+        # 1 + amplitude * sin(w x) * sin(w y), in that order, in place.
+        gain = np.multiply(w, positions[:, 0])
+        np.sin(gain, out=gain)
+        gain *= cfg.nonuniformity_amplitude
+        sin_y = np.multiply(w, positions[:, 1])
+        gain *= np.sin(sin_y, out=sin_y)
+        gain += 1.0
+        return gain
 
     def measure_energy(
         self, true_energy: np.ndarray, positions: np.ndarray, rng: np.random.Generator
@@ -376,13 +383,13 @@ class DetectorResponse:
         if transport.num_hits == 0:
             return _empty_event_set(batch.source_direction)
 
-        order_key = np.lexsort((transport.order, transport.photon_index))
-        ph = transport.photon_index[order_key]
-        order = transport.order[order_key]
-        pos = transport.positions[order_key]
-        edep = transport.energies[order_key]
-
-        ph, order, pos, edep = self._merge_close_hits(ph, order, pos, edep)
+        obs_metrics.inc("response.hits", transport.num_hits)
+        first, pos, edep = self._merge_close_hits(
+            transport, np.lexsort((transport.order, transport.photon_index))
+        )
+        ph, order = transport.photon_index.take(first), transport.order.take(first)
+        # Hits folded into the hit before them.
+        obs_metrics.inc("response.hits_merged", transport.num_hits - ph.shape[0])
 
         layer_idx = self.geometry.layer_index(pos)
         depth = self._draw_depth(layer_idx, rng)
@@ -390,95 +397,102 @@ class DetectorResponse:
 
         _, counts = _runs(ph)
         rows = np.flatnonzero(np.repeat(counts >= min_hits, counts))
-        ph, order, pos, edep = ph[rows], order[rows], pos[rows], edep[rows]
+        obs_metrics.inc("response.hits_measured", rows.size)
+        ph, order, edep = ph.take(rows), order.take(rows), edep.take(rows)
+        pos = pos.take(rows, axis=0)
         measured_pos, sigma_pos = self._apply_position(
-            pos, layer_idx[rows], depth[rows]
+            pos, layer_idx.take(rows), depth.take(rows)
         )
         measured_e, sigma_e = self._apply_energy_noise(
-            edep, tuple(draw[rows] for draw in energy_draws)
+            edep, tuple(draw.take(rows) for draw in energy_draws)
         )
 
-        keep = measured_e >= self.config.trigger_threshold_mev
-        ph, order = ph[keep], order[keep]
-        pos, edep = pos[keep], edep[keep]
-        measured_pos, sigma_pos = measured_pos[keep], sigma_pos[keep]
-        measured_e, sigma_e = measured_e[keep], sigma_e[keep]
-
-        if ph.shape[0] == 0:
+        keep = np.flatnonzero(measured_e >= self.config.trigger_threshold_mev)
+        if keep.size == 0:
             return _empty_event_set(batch.source_direction)
 
         # Group hits into events (hits are already sorted by photon).
-        starts, counts = _runs(ph)
+        starts, counts = _runs(ph.take(keep))
         enough = (counts >= min_hits) & (counts <= max_hits)
         starts, counts = starts[enough], counts[enough]
         offsets = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        hit_sel = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts)
-        unique_ph = ph[starts]
+        # Measured rows of the kept events' hits, in order.
+        hit_sel = keep.take(
+            np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts)
+        )
+        unique_ph = ph.take(keep.take(starts))
         return EventSet(
             event_offsets=offsets,
-            positions=measured_pos[hit_sel],
-            energies=measured_e[hit_sel],
-            sigma_energy=sigma_e[hit_sel],
-            sigma_position=sigma_pos[hit_sel],
-            true_positions=pos[hit_sel],
-            true_energies=edep[hit_sel],
-            true_order=order[hit_sel],
+            positions=measured_pos.take(hit_sel, axis=0),
+            energies=measured_e.take(hit_sel),
+            sigma_energy=sigma_e.take(hit_sel),
+            sigma_position=sigma_pos.take(hit_sel, axis=0),
+            true_positions=pos.take(hit_sel, axis=0),
+            true_energies=edep.take(hit_sel),
+            true_order=order.take(hit_sel),
             photon_index=unique_ph,
-            labels=batch.labels[unique_ph],
-            photon_energy=batch.energies[unique_ph],
+            labels=batch.labels.take(unique_ph),
+            photon_energy=batch.energies.take(unique_ph),
             source_direction=batch.source_direction,
         )
 
     def _merge_close_hits(
-        self,
-        ph: np.ndarray,
-        order: np.ndarray,
-        pos: np.ndarray,
-        edep: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        self, transport: TransportResult, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Merge consecutive same-photon, same-layer hits that are too close
         for the readout to separate.
 
-        Inputs must be sorted by (photon, order).  Merging is greedy over
-        consecutive pairs, which matches the physical situation (a scatter
-        followed immediately by absorption in the same tile).  Only pairs
-        from one photon can merge, so only they are tested.
+        ``rows`` lists the transport's hits sorted by (photon, order).
+        Merging is greedy over consecutive pairs, which matches the
+        physical situation (a scatter followed immediately by absorption
+        in the same tile).  Only pairs from one photon can merge, so only
+        they are tested.  A merged hit is its group's energy-weighted
+        position and summed energy; the sums are formed as ``np.bincount``
+        over every hit would form them, but only the hits that merge are
+        added, and no sorted copy of the hit arrays is made.
+
+        Returns:
+            ``(first, pos, edep)`` — the transport row of each merged
+            hit's first hit (in ``rows`` order), and the merged hits'
+            ``(m, 3)`` positions and ``(m,)`` energies.
         """
-        if ph.shape[0] == 0:
-            return ph, order, pos, edep
+        ph = transport.photon_index.take(rows)
         pair = np.flatnonzero(ph[1:] == ph[:-1])
-        prev, this = pos[pair], pos[pair + 1]
+        prev = transport.positions.take(rows.take(pair), axis=0)
+        this = transport.positions.take(rows.take(pair + 1), axis=0)
         layer = self.geometry.layer_index(this)
-        merge_with_prev = np.zeros(ph.shape[0] - 1, dtype=bool)
-        merge_with_prev[pair] = (
+        close = (
             (layer == self.geometry.layer_index(prev))
             & (layer >= 0)
             & (np.linalg.norm(this - prev, axis=1) < self.config.merge_radius_cm)
         )
-        # Group id increments where we do NOT merge.
-        group = np.concatenate([[0], np.cumsum(~merge_with_prev)])
-        n_groups = group[-1] + 1
-        # bincount adds in hit order, as np.add.at does: the same sums bit
-        # for bit.
-        e_sum = np.bincount(group, weights=edep, minlength=n_groups)
-        weighted = pos * edep[:, None]
-        w_pos = np.stack(
-            [
-                np.bincount(group, weights=weighted[:, axis], minlength=n_groups)
-                for axis in range(3)
-            ],
-            axis=1,
-        )
+        # Sorted hits that merge into the one before them, ascending; the
+        # k-th of them (from 0) joins group merged[k] - (k + 1).
+        merged = pair.take(np.flatnonzero(close)) + 1
+        is_first = np.ones(ph.shape[0], dtype=bool)
+        is_first[merged] = False
+        first = rows.take(np.flatnonzero(is_first))
+        # Each group's sums as np.bincount forms them: from 0.0, in hit
+        # order.  The group's first hit starts it (0.0 + x turns a -0.0
+        # into +0.0), and np.add.at adds the merging hits in index order.
+        e_first = transport.energies.take(first)
+        e_sum = e_first + 0.0
+        w_pos = transport.positions.take(first, axis=0)
+        w_pos *= e_first[:, None]
+        w_pos += 0.0
+        group = merged - np.arange(1, merged.size + 1)
+        merged_rows = rows.take(merged)
+        e_merged = transport.energies.take(merged_rows)
+        np.add.at(e_sum, group, e_merged)
+        # On the flat array: x, y, z of each merging hit in turn.
+        w_merged = transport.positions.take(merged_rows, axis=0)
+        w_merged *= e_merged[:, None]
+        flat = (3 * group)[:, None] + np.arange(3)
+        np.add.at(w_pos.reshape(-1), flat.reshape(-1), w_merged.reshape(-1))
         with np.errstate(invalid="ignore"):
             w_pos /= e_sum[:, None]
-        first_of_group = np.concatenate([[True], ~merge_with_prev])
-        return (
-            ph[first_of_group],
-            order[first_of_group],
-            w_pos,
-            e_sum,
-        )
+        return first, w_pos, e_sum
 
 
 def _runs(sorted_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -94,10 +94,22 @@ class DetectorGeometry:
             "_z_faces",
             np.asarray(sorted(tops + bottoms, reverse=True), dtype=np.float64),
         )
-        # Lookup tables of entry_slabs.  They are not dataclass fields, so
-        # cache tokens, which hash the fields, do not change with them.
+        # Lookup tables of layer_index and entry_slabs.  They are not
+        # dataclass fields, so cache tokens, which hash the fields, do not
+        # change with them.
+        num_layers = len(self.layers)
+        object.__setattr__(self, "_tops", self._z_faces[0::2].copy())
+        # Bottom face of the layer layer_index picks when k tops lie below
+        # the point (layer L - 1 - k), NaN where no layer is left.
+        object.__setattr__(
+            self, "_bottom_by_count", np.append(self._z_faces[-1::-2], np.nan)
+        )
         object.__setattr__(self, "_faces_ascending", self._z_faces[::-1].copy())
         object.__setattr__(self, "_entry_faces", _entry_face_table(tops, bottoms))
+        # Narrowest unsigned types that hold a face count and an entry
+        # code (2 * count + 1 <= 4L + 1).
+        object.__setattr__(self, "_count_type", np.min_scalar_type(num_layers))
+        object.__setattr__(self, "_code_type", np.min_scalar_type(4 * num_layers + 1))
 
     # -- basic extents -------------------------------------------------------
 
@@ -130,11 +142,12 @@ class DetectorGeometry:
     def layer_index(self, points: np.ndarray) -> np.ndarray:
         """Map points to layer indices.
 
-        One ``searchsorted`` on the top faces finds the lowest layer whose
-        top is at or above each point; only that layer can hold it.  The
-        invariants make this the per-layer test with the last match
-        winning: a point on a face shared by two touching layers belongs
-        to the lower one, and a NaN coordinate matches no layer.
+        Counting the top faces below each point (:func:`_faces_below`)
+        finds the lowest layer whose top is at or above it; only that
+        layer can hold it.  The invariants make this the per-layer test
+        with the last match winning: a point on a face shared by two
+        touching layers belongs to the lower one, and a NaN coordinate
+        matches no layer.
 
         Args:
             points: ``(n, 3)`` array of positions in cm.
@@ -145,16 +158,14 @@ class DetectorGeometry:
         """
         points = np.atleast_2d(points)
         x, y, z = points[:, 0], points[:, 1], points[:, 2]
-        # Top faces bottom layer first (ascending): the first one >= z.
-        idx = self.num_layers - 1 - np.searchsorted(self._z_faces[-2::-2], z)
+        below = _faces_below(z, self._tops, self._count_type)
         half = self.half_size
-        inside = (
-            (idx >= 0)
-            & (z >= self._z_faces[2 * idx + 1])
-            & (np.abs(x) <= half)
-            & (np.abs(y) <= half)
-        )
-        return np.where(inside, idx, -1)
+        inside = z >= self._bottom_by_count.take(below)
+        inside &= np.abs(x) <= half
+        inside &= np.abs(y) <= half
+        idx = np.subtract(self.num_layers - 1, below, dtype=np.int64)
+        np.putmask(idx, ~inside, -1)
+        return idx
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Vectorized test whether points lie inside active scintillator."""
@@ -253,8 +264,12 @@ class DetectorGeometry:
         lateral = np.empty((4, origins.shape[0]))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for axis in (0, 1):
-                lateral[2 * axis : 2 * axis + 2] = _slab_interval(
-                    origins[:, axis], directions[:, axis], half, -half
+                _slab_interval(
+                    origins[:, axis],
+                    directions[:, axis],
+                    half,
+                    -half,
+                    out=(lateral[2 * axis], lateral[2 * axis + 1]),
                 )
         return lateral
 
@@ -306,7 +321,8 @@ class DetectorGeometry:
         monotone; every slab interval starts at or after the lateral entry
         ``t0 = max(0, x_lo, y_lo)``, so a slab whose far face lies at or
         before ``t0`` is empty.  The entry slab is the first one whose far
-        face lies past the ray's z at ``t0`` (one ``searchsorted``), kept
+        face lies past the ray's z at ``t0`` (counting the faces below
+        that z, :func:`_faces_below`), kept
         only if the far face of the slab before it in walk order lies at
         or before ``t0`` in t-space: then every earlier slab is empty, bit
         for bit as :meth:`slab_intervals` computes it.  The entry slab's
@@ -333,13 +349,13 @@ class DetectorGeometry:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             # Column 2k (downward) or 2k + 1 (upward) of the face table,
             # where k counts the faces below the ray's z at t0.
-            code = np.searchsorted(self._faces_ascending, oz + t0 * dz)
+            code = _faces_below(oz + t0 * dz, self._faces_ascending, self._code_type)
             code += code
             code += dz > 0
-            prev_far, near, far = (faces.take(code) for faces in self._entry_faces)
-            for dist in (prev_far, near, far):
-                dist -= oz
-                dist /= dz
+            dist = self._entry_faces.take(code, axis=1)
+            dist -= oz
+            dist /= dz
+        prev_far, near, far = dist
         t_in = np.maximum(0.0, near, out=near)
         np.maximum(t_in, lateral[0], out=t_in)
         np.maximum(t_in, lateral[2], out=t_in)
@@ -415,8 +431,23 @@ def _entry_face_table(tops: list[float], bottoms: list[float]) -> np.ndarray:
     return table
 
 
+def _faces_below(z: np.ndarray, faces: np.ndarray, dtype) -> np.ndarray:
+    """Number of ``faces`` each ``(n,)`` ``z`` is not at or below, as
+    ``dtype``.
+
+    ``np.searchsorted(faces, z)`` of ascending ``faces``, which counts the
+    faces ``< z``, sorts NaN last and counts equal faces alike, without a
+    binary search per key: one ``z <= face`` compare per face and key,
+    summed over the faces in ``dtype``, an unsigned type that holds
+    ``len(faces)``.  ``z <= face`` is false for a NaN ``z``, so NaN
+    counts every face.
+    """
+    at_or_below = np.less_equal(z, faces[:, None]).sum(axis=0, dtype=dtype)
+    return np.subtract(len(faces), at_or_below, out=at_or_below)
+
+
 def _slab_interval(
-    origin: np.ndarray, direction: np.ndarray, upper, lower
+    origin: np.ndarray, direction: np.ndarray, upper, lower, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interval ``[lo, hi]`` of ``t`` where ``lower <= origin + t * direction
     <= upper``, per ray.
@@ -424,17 +455,21 @@ def _slab_interval(
     ``origin`` and ``direction`` are ``(n,)``; the faces are scalars, or
     ``(k, 1)`` columns for ``(k, n)`` intervals.  A ray parallel to the
     faces (``|direction| < 1e-300``) is inside for every ``t`` or for
-    none: ``[0, inf]`` or ``[inf, -inf]``.  Call under
+    none: ``[0, inf]`` or ``[inf, -inf]``; the fix-up runs only when
+    some ray is.  ``out`` is an optional ``(lo, hi)`` pair to write.
+    Call under
     ``np.errstate(divide="ignore", over="ignore", invalid="ignore")``.
     """
     t1 = (upper - origin) / direction
     t2 = (lower - origin) / direction
-    lo = np.minimum(t1, t2)
-    hi = np.maximum(t1, t2, out=t1)
-    par = np.nonzero(np.abs(direction) < 1e-300)[0]
-    inside = (origin[par] <= upper) & (origin[par] >= lower)
-    lo[..., par] = np.where(inside, 0.0, np.inf)
-    hi[..., par] = np.where(inside, np.inf, -np.inf)
+    lo, hi = (None, t1) if out is None else out
+    lo = np.minimum(t1, t2, out=lo)
+    hi = np.maximum(t1, t2, out=hi)
+    par = np.abs(direction) < 1e-300
+    if par.any():
+        inside = (origin[par] <= upper) & (origin[par] >= lower)
+        lo[..., par] = np.where(inside, 0.0, np.inf)
+        hi[..., par] = np.where(inside, np.inf, -np.inf)
     return lo, hi
 
 

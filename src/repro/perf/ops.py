@@ -315,14 +315,11 @@ def _bench_transport():
     ), batch.num_photons
 
 
-@register("physics_transport_apt_exposure", op="physics.transport")
-def _bench_transport_apt():
-    # One APT exposure through its 20 layers: a 0.15 MeV/cm^2 burst at
-    # polar 20 degrees plus the quiet L2 background, the campaign recipe
-    # of apt_dim_campaign.  Each call reseeds its generator.  rows =
-    # photons per call.
+def _apt_exposure():
+    """``(geometry, batch)`` of the registry's APT exposure: a 0.15
+    MeV/cm^2 burst at polar 20 degrees plus the quiet L2 background, the
+    campaign recipe of apt_dim_campaign."""
     from repro.geometry.tiles import apt_geometry
-    from repro.physics.transport import transport_photons
     from repro.sources.background import BackgroundModel
     from repro.sources.grb import GRBSource, PhotonBatch
 
@@ -333,11 +330,46 @@ def _bench_transport_apt():
     batch = PhotonBatch.concatenate(
         [grb.generate(geometry, rng), background.generate(geometry, rng)]
     )
+    return geometry, batch
+
+
+@register("physics_transport_apt_exposure", op="physics.transport")
+def _bench_transport_apt():
+    # The APT exposure through its 20 layers.  Each call reseeds its
+    # generator.  rows = photons per call.
+    from repro.physics.transport import transport_photons
+
+    geometry, batch = _apt_exposure()
     return (
         lambda: transport_photons(
             geometry, batch.origins, batch.directions, batch.energies, _rng(43)
         )
     ), batch.num_photons
+
+
+@register("detector_digitize_apt_exposure", op="detector.digitize")
+def _bench_digitize_apt():
+    # The APT exposure's hits through the flight response (2000 pe/MeV,
+    # halved tail and gain variation), keeping events of two or more hits.
+    # APT merges about three times ADAPT's share of hits and looks layers
+    # up over 40 faces.  Each call reseeds its generator.  rows =
+    # transported hits per call.
+    from repro.detector.response import DetectorResponse, ResponseConfig
+    from repro.physics.transport import transport_photons
+
+    geometry, batch = _apt_exposure()
+    transport = transport_photons(
+        geometry, batch.origins, batch.directions, batch.energies, _rng(43)
+    )
+    response = DetectorResponse(
+        geometry,
+        ResponseConfig(
+            pe_per_mev=2000.0, tail_probability=0.05, nonuniformity_amplitude=0.03
+        ),
+    )
+    return (
+        lambda: response.digitize(transport, batch, _rng(47), min_hits=2)
+    ), transport.num_hits
 
 
 @register("detector_digitize_exposure", op="detector.digitize")

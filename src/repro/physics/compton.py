@@ -113,18 +113,23 @@ def sample_klein_nishina(
     for _ in range(max_rounds):
         if pending.size == 0:
             return out
-        m = pending.size
-        a = alpha_all[pending]
-        r1 = rng.uniform(size=m)
-        r2 = rng.uniform(size=m)
-        r3 = rng.uniform(size=m)
-        branch1 = r1 <= (1.0 + 2.0 * a) / (9.0 + 2.0 * a)
-        eta = np.where(branch1, 1.0 + 2.0 * a * r2, (1.0 + 2.0 * a) / (1.0 + 2.0 * a * r2))
+        a = alpha_all.take(pending)
+        # One draw for the round's three uniforms: a double takes one raw
+        # draw and the array fills row by row, so the rows are the values
+        # (and leave the stream where) three size-m calls would.
+        r1, r2, r3 = rng.uniform(size=(3, pending.size))
+        # Repeated subexpressions formed once, from the same operands.
+        two_a = 2.0 * a
+        one_2a = 1.0 + two_a
+        two_a_r2 = two_a * r2
+        branch1 = r1 <= one_2a / (9.0 + two_a)
+        eta = np.where(branch1, 1.0 + two_a_r2, one_2a / (1.0 + two_a_r2))
         cos_t = 1.0 - (eta - 1.0) / a  # reprolint: disable=NUM002 -- alpha = E/m_e > 0 for physical photons
+        inv_eta = 1.0 / eta  # reprolint: disable=NUM002 -- eta in [1, 1+2*alpha] by construction
         accept_p = np.where(
             branch1,
-            4.0 * (1.0 / eta - 1.0 / eta**2),  # reprolint: disable=NUM002 -- eta in [1, 1+2*alpha] by construction
-            0.5 * (cos_t**2 + 1.0 / eta),  # reprolint: disable=NUM002 -- eta in [1, 1+2*alpha] by construction
+            4.0 * (inv_eta - 1.0 / eta**2),  # reprolint: disable=NUM002 -- eta in [1, 1+2*alpha] by construction
+            0.5 * (cos_t**2 + inv_eta),
         )
         accept = r3 <= accept_p
         out[pending[accept]] = cos_t[accept]

@@ -7,15 +7,26 @@ resolution for the Band function).  Energies are in MeV throughout.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.constants import BAND_BETA, MIN_PHOTON_ENERGY_MEV
 
+#: Distinct spectra whose tables are kept (64 KiB each); a burst
+#: catalog draws a new spectrum per burst, a campaign one per run.
+TABLE_CACHE_SIZE = 64
+
 
 class Spectrum:
-    """Base class for photon-number spectra N(E) (photons / MeV, unnormalized)."""
+    """Base class for photon-number spectra N(E) (photons / MeV, unnormalized).
+
+    Subclasses are frozen dataclasses: a spectrum's shape cannot change
+    after construction, and equal spectra hash alike, so the default
+    :meth:`sample` and :meth:`mean_energy` compute their grids once per
+    distinct spectrum.
+    """
 
     e_min: float
     e_max: float
@@ -27,26 +38,42 @@ class Spectrum:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` photon energies from the spectrum.
 
-        Default implementation: inverse CDF on a log-spaced grid.
+        Default implementation: inverse CDF on a log-spaced grid
+        (:func:`_inverse_cdf`, built once per distinct spectrum).
         """
-        grid = np.geomspace(self.e_min, self.e_max, 4096)
-        pdf = self.pdf_unnormalized(grid)
-        # Trapezoidal CDF on the grid.
-        dcdf = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid)
-        cdf = np.concatenate([[0.0], np.cumsum(dcdf)])
-        cdf /= cdf[-1]
+        grid, cdf = _inverse_cdf(self)
         u = rng.uniform(0.0, 1.0, size=n)
         return np.interp(u, cdf, grid)
 
     def mean_energy(self) -> float:
         """Mean photon energy <E> of the spectrum, MeV."""
-        grid = np.geomspace(self.e_min, self.e_max, 8192)
-        pdf = self.pdf_unnormalized(grid)
-        norm = max(np.trapezoid(pdf, grid), np.finfo(np.float64).tiny)
-        return float(np.trapezoid(grid * pdf, grid) / norm)
+        return _mean_energy(self)
 
 
-@dataclass
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _inverse_cdf(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(grid, cdf)`` of a 4096-point log grid: the spectrum's
+    trapezoidal CDF, normalized to 1."""
+    grid = np.geomspace(spectrum.e_min, spectrum.e_max, 4096)
+    pdf = spectrum.pdf_unnormalized(grid)
+    dcdf = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid)
+    cdf = np.concatenate([[0.0], np.cumsum(dcdf)])
+    cdf /= cdf[-1]
+    grid.flags.writeable = False
+    cdf.flags.writeable = False
+    return grid, cdf
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _mean_energy(spectrum: Spectrum) -> float:
+    """Mean photon energy of the spectrum on an 8192-point log grid."""
+    grid = np.geomspace(spectrum.e_min, spectrum.e_max, 8192)
+    pdf = spectrum.pdf_unnormalized(grid)
+    norm = max(np.trapezoid(pdf, grid), np.finfo(np.float64).tiny)
+    return float(np.trapezoid(grid * pdf, grid) / norm)
+
+
+@dataclass(frozen=True)
 class PowerLawSpectrum(Spectrum):
     """``N(E) ~ E^index`` between ``e_min`` and ``e_max``.
 
@@ -78,7 +105,7 @@ class PowerLawSpectrum(Spectrum):
         return np.power(lo + u * (hi - lo), 1.0 / g)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BandSpectrum(Spectrum):
     """The Band GRB spectral function.
 
@@ -110,13 +137,13 @@ class BandSpectrum(Spectrum):
             raise ValueError("require e_peak > 0 and alpha > -2")
         if not (0 < self.e_min < self.e_max):
             raise ValueError("require 0 < e_min < e_max")
-        self._e0 = self.e_peak / (2.0 + self.alpha)
-        self._e_break = (self.alpha - self.beta) * self._e0
+        e0 = self.e_peak / (2.0 + self.alpha)
+        e_break = (self.alpha - self.beta) * e0
         # Continuity constant for the high-energy branch.
-        self._join = (
-            self._e_break ** (self.alpha - self.beta)
-            * np.exp(self.beta - self.alpha)
-        )
+        join = e_break ** (self.alpha - self.beta) * np.exp(self.beta - self.alpha)
+        object.__setattr__(self, "_e0", e0)
+        object.__setattr__(self, "_e_break", e_break)
+        object.__setattr__(self, "_join", join)
 
     def pdf_unnormalized(self, energy: np.ndarray) -> np.ndarray:
         energy = np.asarray(energy, dtype=np.float64)

@@ -143,12 +143,13 @@ def _material_path_to_geometric(
     escaped = required_path >= total
 
     # Walk position of the slab interval in which the path is consumed.
-    last = cum.shape[0] - 1
+    # Gathers from the flat (L, m) arrays: row r of column c is r * m + c.
+    last, m = cum.shape[0] - 1, cum.shape[1]
     idx = np.minimum(np.sum(cum < required_path, axis=0), last)
-    cols = np.arange(cum.shape[1])
-    prev = np.where(idx > 0, cum[idx - 1, cols], 0.0)
+    cols = np.arange(m)
+    prev = np.where(idx > 0, cum.take((idx - 1) * m + cols), 0.0)
     layer = np.where(upward, last - idx, idx)
-    t_star = start[layer, cols] + (required_path - prev)
+    t_star = start.take(layer * m + cols) + (required_path - prev)
     return t_star, escaped
 
 
@@ -188,11 +189,14 @@ def _walk_slabs(
     t_star += required_path
     escaped = ~((required_path > 0) & (required_path < length))
     crosses_none = np.minimum(lateral[1], lateral[3]) <= entry_in
-    full = np.nonzero(escaped & ~crosses_none)[0]
+    full = (escaped & ~crosses_none).nonzero()[0]
     if full.size:
-        t_in, t_out = geometry.slab_intervals(oz[full], dz[full], lateral[:, full])
+        dz_full = dz.take(full)
+        t_in, t_out = geometry.slab_intervals(
+            oz.take(full), dz_full, lateral.take(full, axis=1)
+        )
         t_star[full], escaped[full] = _material_path_to_geometric(
-            t_in.T, t_out.T, required_path[full], dz[full] > 0
+            t_in.T, t_out.T, required_path.take(full), dz_full > 0
         )
     obs_metrics.inc("transport.rays_walked", oz.size)
     obs_metrics.inc("transport.rays_full_walk", full.size)
@@ -239,24 +243,28 @@ def _interaction_distances(
         oz, dz = pos[block, 2], block_dirs[:, 2]
         lateral = geometry.lateral_intervals(pos[block], block_dirs)
         box_in, box_out = geometry.box_intervals(oz, dz, lateral)
-        in_box = np.nonzero(box_out > np.maximum(box_in, _MIN_START_CM))[0]
-        rows = in_box + start
-        oz, dz, lateral = oz[in_box], dz[in_box], lateral[:, in_box]
+        in_box = (box_out > np.maximum(box_in, _MIN_START_CM)).nonzero()[0]
         # Cross sections once per ray: the walk needs their sum and the
         # interaction step the Compton share, as interaction_probabilities
         # forms it.  The sum is > 0 at every energy (Compton never
         # vanishes); the floor only shields degenerate test materials.
-        e_rows = energies[rows]
-        mu_compton = compton_mu(e_rows, material)
+        e_box = energies[block].take(in_box)
+        mu_compton = compton_mu(e_box, material)
         mu = np.maximum(
-            mu_compton + photoelectric_mu(e_rows, material) + pair_mu(e_rows, material),
+            mu_compton + photoelectric_mu(e_box, material) + pair_mu(e_box, material),
             np.finfo(np.float64).tiny,
         )
-        t_star, escaped = _walk_slabs(geometry, oz, dz, lateral, depth[rows] / mu)
-        hit = ~escaped
-        hit_rows.append(rows[hit])
-        hit_dist.append(t_star[hit])
-        hit_p_compton.append(mu_compton[hit] / mu[hit])
+        t_star, escaped = _walk_slabs(
+            geometry,
+            oz.take(in_box),
+            dz.take(in_box),
+            lateral.take(in_box, axis=1),
+            depth[block].take(in_box) / mu,
+        )
+        hit = (~escaped).nonzero()[0]
+        hit_rows.append(in_box.take(hit) + start)
+        hit_dist.append(t_star.take(hit))
+        hit_p_compton.append(mu_compton.take(hit) / mu.take(hit))  # reprolint: disable=NUM002 -- mu is floored at tiny above
     return (
         np.concatenate(hit_rows),
         np.concatenate(hit_dist),
@@ -336,41 +344,47 @@ def transport_photons(
 
     # State of the live photons only, in ascending photon order: each
     # generation keeps the scattered survivors, so nothing is gathered
-    # from or scattered into per-batch arrays.
-    live_idx = np.arange(n)
+    # from or scattered into per-batch arrays.  Generation 0's live
+    # photons are every photon, in order (live_idx None).
+    live_idx = None
     pos, dirs, e = origins, directions, energies
     for generation in range(max_generations):
-        if live_idx.size == 0:
+        if e.size == 0:
             break
+        obs_metrics.inc("transport.generations")
         # Every live photon draws its optical depth, so the stream does not
         # depend on which rays the box test below culls.
-        depth = rng.exponential(1.0, size=live_idx.size)
+        depth = rng.exponential(1.0, size=e.size)
 
         act_rows, t_star, p_c = _interaction_distances(
             geometry, pos, dirs, depth, e, material, norms
         )
-        act_idx = live_idx[act_rows]
-        act_dirs = dirs[act_rows]
+        act_idx = act_rows if live_idx is None else live_idx.take(act_rows)
+        act_dirs = dirs.take(act_rows, axis=0)
         if norms is not None:
-            act_dirs /= norms[act_rows, None]
+            act_dirs /= norms.take(act_rows)[:, None]
             norms = None  # later generations carry unit directions
-        new_pos = pos[act_rows] + t_star[:, None] * act_dirs
-        e_act = e[act_rows]
+        new_pos = pos.take(act_rows, axis=0)
+        new_pos += t_star[:, None] * act_dirs
+        e_act = e.take(act_rows)
 
         u = rng.uniform(0.0, 1.0, size=act_idx.size)
         # Photoelectric and pair both terminate with full local deposition,
         # and so do sub-cutoff Compton scatters.
-        ci = np.nonzero(u < p_c)[0]
+        ci = (u < p_c).nonzero()[0]
         edep = e_act.copy()
         fate[act_idx] = FATE_ABSORBED
         escaped_energy[act_idx] = 0.0
 
-        cos_t = sample_klein_nishina(e_act[ci], rng)
-        e_sc = scattered_energy(e_act[ci], cos_t)
-        surv = ~(e_sc < absorb_cutoff_mev)
-        edep[ci[surv]] -= e_sc[surv]
+        e_ci = e_act.take(ci)
+        cos_t = sample_klein_nishina(e_ci, rng)
+        e_sc = scattered_energy(e_ci, cos_t)
+        surv = (~(e_sc < absorb_cutoff_mev)).nonzero()[0]
+        keep = ci.take(surv)
+        e_sc = e_sc.take(surv)
+        edep[keep] = edep.take(keep) - e_sc
         phi = rng.uniform(0.0, 2.0 * np.pi, size=ci.size)
-        new_dirs = rotate_directions(act_dirs[ci], cos_t, phi)
+        new_dirs = rotate_directions(act_dirs.take(ci, axis=0), cos_t, phi)
 
         hit_photon.append(act_idx)
         # Every live photon has interacted once per earlier generation.
@@ -379,15 +393,15 @@ def transport_photons(
         hit_edep.append(edep)
         num_interactions[act_idx] += 1
 
-        keep = ci[surv]
-        live_idx = act_idx[keep]
-        pos = new_pos[keep]
-        dirs = new_dirs[surv]
-        e = e_sc[surv]
+        live_idx = act_idx.take(keep)
+        pos = new_pos.take(keep, axis=0)
+        dirs = new_dirs.take(surv, axis=0)
+        e = e_sc
         fate[live_idx] = FATE_ESCAPED
         escaped_energy[live_idx] = e
 
-    fate[live_idx] = FATE_MAX_GENERATIONS
+    # Photons still live at the cap: every photon if no generation ran.
+    fate[slice(None) if live_idx is None else live_idx] = FATE_MAX_GENERATIONS
 
     if hit_photon:
         photon_index = np.concatenate(hit_photon)

@@ -227,7 +227,7 @@ class TestPerEventSums:
         t = exposure.transport
         key = np.lexsort((t.order, t.photon_index))
         ph, pos, edep = t.photon_index[key], t.positions[key], t.energies[key]
-        _, _, w_pos, e_sum = response._merge_close_hits(ph, t.order[key], pos, edep)
+        _, w_pos, e_sum = response._merge_close_hits(t, key)
 
         layer = response.geometry.layer_index(pos)
         merge = (
@@ -424,7 +424,8 @@ class TestDigitizeOracle:
         t = exposure.transport
         key = np.lexsort((t.order, t.photon_index))
         args = (t.photon_index[key], t.order[key], t.positions[key], t.energies[key])
-        got = response._merge_close_hits(*args)
+        first, w_pos, e_sum = response._merge_close_hits(t, key)
+        got = (t.photon_index[first], t.order[first], w_pos, e_sum)
         want = merge_close_hits_oracle(response, *args)
         assert got[0].size < args[0].size
         for a, b in zip(got, want):
@@ -447,6 +448,102 @@ class TestDigitizeOracle:
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _chain_hits(groups, rng):
+    """Hand-built hits: ``groups[p]`` lists photon ``p``'s merge groups by
+    size.  A group's hits lie 0.4 cm apart in layer 0, so they merge;
+    groups lie 6 cm apart, so they do not.  Every hit stays on the tile."""
+    ph, order, pos, edep = [], [], [], []
+    for p, sizes in enumerate(groups):
+        x, y = rng.uniform(-17.0, -15.0), rng.uniform(-15.0, 15.0)
+        j = 0
+        for size in sizes:
+            for _ in range(size):
+                ph.append(p)
+                order.append(j)
+                pos.append([x, y + rng.uniform(-0.05, 0.05), rng.uniform(-0.8, -0.7)])
+                edep.append(rng.uniform(0.01, 1.5))
+                x += 0.4
+                j += 1
+            x += 6.0
+    return ph, order, np.array(pos), np.array(edep)
+
+
+def _assert_merge_matches_oracle(response, transport):
+    from tests.physics.frontend_oracle import merge_close_hits_oracle
+
+    t = transport
+    key = np.lexsort((t.order, t.photon_index))
+    args = (t.photon_index[key], t.order[key], t.positions[key], t.energies[key])
+    first, w_pos, e_sum = response._merge_close_hits(t, key)
+    want = merge_close_hits_oracle(response, *args)
+    got = (t.photon_index[first], t.order[first], w_pos, e_sum)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    return got
+
+
+class TestMergeOnlyMergingHits:
+    """Sums formed from each group's first hit, plus only the hits that
+    merge, equal the full-length bincount sums bit for bit."""
+
+    def test_groups_of_every_size(self, response):
+        rng = np.random.default_rng(31)
+        groups = [[1], [2], [3], [4], [7], [2, 1, 3], [1, 1], [5, 2]] * 20
+        ph, order, pos, edep = _chain_hits(groups, rng)
+        shuffle = rng.permutation(len(ph))
+        transport, batch = _hand_built(
+            np.array(ph)[shuffle], np.array(order)[shuffle], pos[shuffle], edep[shuffle]
+        )
+        got = _assert_merge_matches_oracle(response, transport)
+        np.testing.assert_array_equal(
+            got[0], np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        )
+        _assert_same_digitize(response, transport, batch, 32, min_hits=1)
+
+    def test_signed_zeros_and_a_zero_energy_group(self, response):
+        hits = [
+            # A singleton at -0.0, -0.0: 0.0 + x * e turns both into +0.0.
+            (0, 0, [-0.0, -0.0, -0.7], 0.4),
+            # A merging pair with -0.0 coordinates and energies.
+            (1, 0, [-0.0, 3.0, -0.7], 0.3),
+            (1, 1, [-0.0, 3.2, -0.8], -0.0),
+            # A zero-energy group: 0 / 0 positions, as bincount gives.
+            (2, 0, [5.0, 5.0, -0.5], 0.0),
+            (2, 1, [5.3, 5.0, -0.5], 0.0),
+            # A -0.0 energy singleton.
+            (3, 0, [-4.0, -0.0, -0.6], -0.0),
+            # A three-hit chain with a -0.0 in the middle.
+            (4, 0, [-8.0, -8.0, -0.4], 0.2),
+            (4, 1, [-8.4, -8.0, -0.4], -0.0),
+            (4, 2, [-8.8, -8.0, -0.4], 0.1),
+        ]
+        ph, order, pos, edep = (np.array([h[j] for h in hits]) for j in range(4))
+        transport, _ = _hand_built(ph, order, np.stack(pos), edep)
+        got = _assert_merge_matches_oracle(response, transport)
+        w_pos, e_sum = got[2], got[3]
+        assert np.signbit(w_pos[0, :2]).tolist() == [False, False]
+        assert np.isnan(w_pos[2]).all() and e_sum[2] == 0.0
+        assert np.signbit(e_sum[3]) == False  # noqa: E712
+
+    def test_no_merges(self, exposure, response):
+        import dataclasses
+
+        no_merge = DetectorResponse(
+            response.geometry, dataclasses.replace(response.config, merge_radius_cm=0.0)
+        )
+        got = _assert_merge_matches_oracle(no_merge, exposure.transport)
+        assert got[0].size == exposure.transport.num_hits
+        _assert_same_digitize(no_merge, exposure.transport, exposure.batch, 33, min_hits=2)
+
+    @pytest.mark.parametrize("name", ["adapt", "apt"])
+    def test_seeded_exposures(self, name):
+        exposure = _seeded_exposure(name, 1)
+        _, response, _ = _instrument(name)
+        got = _assert_merge_matches_oracle(response, exposure.transport)
+        assert got[0].size < exposure.transport.num_hits
 
 
 class TestFiberGridSizing:

@@ -7,6 +7,7 @@ from repro.fpga.hls_model import (
     PAPER_NUM_RINGS,
     PAPER_WIDTHS,
     batch_latency_cycles,
+    synthesize_from_plan,
     synthesize_kernel,
 )
 
@@ -96,3 +97,65 @@ class TestSynthesizeKernel:
             synthesize_kernel(widths=(13,))
         with pytest.raises(ValueError):
             synthesize_kernel(widths=(13, 0, 1))
+
+
+def _trained_net(rng, widths):
+    """A small MLP of these widths, fitted for a few epochs, in eval mode."""
+    from repro.nn.layers import Linear, ReLU, Sequential
+    from repro.nn.losses import MSELoss
+    from repro.nn.optim import SGD
+
+    layers = []
+    for w_in, w_out in zip(widths[:-1], widths[1:]):
+        layers += [Linear(w_in, w_out, rng), ReLU()]
+    net = Sequential(*layers[:-1])
+    x = rng.normal(size=(256, widths[0]))
+    y = x[:, :1] - 0.5 * x[:, 1:2]
+    loss, opt = MSELoss(), SGD(net.parameters(), lr=0.01)
+    net.train()
+    for _ in range(5):
+        opt.zero_grad()
+        _, grad = loss(net.forward(x), y)
+        net.backward(grad)
+        opt.step()
+    net.eval()
+    return net, x
+
+
+class TestSynthesizeFromPlan:
+    """Table III from a compiled plan: the plan's widths, and its dtype
+    unless one is given."""
+
+    WIDTHS = (13, 32, 16, 1)
+
+    @pytest.fixture(scope="class")
+    def plans(self):
+        from repro.infer import compile_int8_plan, compile_plan
+        from repro.quantization.qat import convert_to_int8, prepare_qat
+
+        rng = np.random.default_rng(11)
+        net, _ = _trained_net(rng, self.WIDTHS)
+        qat_net, x = _trained_net(rng, self.WIDTHS)
+        qat = prepare_qat(qat_net)
+        qat.train()
+        qat.forward(x)
+        qat.eval()
+        return compile_plan(net), compile_int8_plan(convert_to_int8(qat))
+
+    def test_plans_carry_the_network_widths(self, plans):
+        float_plan, int8_plan = plans
+        assert not float_plan.quantized and int8_plan.quantized
+        for plan in plans:
+            assert plan.layer_widths == self.WIDTHS
+
+    def test_dtype_follows_quantization(self, plans):
+        for plan, dtype in zip(plans, ("fp32", "int8")):
+            report = synthesize_from_plan(plan)
+            assert report == synthesize_kernel(plan.layer_widths, dtype)
+            assert report.dtype == dtype
+
+    def test_explicit_dtype_overrides_the_pick(self, plans):
+        for plan, dtype in zip(plans, ("int8", "fp32")):
+            report = synthesize_from_plan(plan, dtype=dtype)
+            assert report == synthesize_kernel(plan.layer_widths, dtype)
+            assert report.dtype == dtype

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro import constants
-from repro.geometry.tiles import DetectorGeometry, Layer, adapt_geometry, apt_geometry
+from repro.geometry.tiles import (
+    DetectorGeometry,
+    Layer,
+    _faces_below,
+    adapt_geometry,
+    apt_geometry,
+)
 from tests.physics.frontend_oracle import layer_index_loop
 from tests.physics.transport_oracle import segment_intersections_loop
 
@@ -207,6 +213,65 @@ class TestLayerIndexOracle:
         geo = STACKS[name]
         self._assert_same(geo, np.empty((0, 3)))
         self._assert_same(geo, np.array([0.0, 0.0, geo.z_bottom]))
+
+
+def _face_keys(faces):
+    """Keys at every face and one ulp either side, ±0, NaN and ±inf."""
+    faces = np.asarray(faces, dtype=np.float64)
+    return np.concatenate(
+        [
+            faces,
+            np.nextafter(faces, np.inf),
+            np.nextafter(faces, -np.inf),
+            [0.0, -0.0, np.nan, np.inf, -np.inf],
+        ]
+    )
+
+
+@pytest.mark.parametrize("name", ["adapt", "apt", "gap0", "single"])
+class TestFaceCounting:
+    """Counting the faces below a key is ``np.searchsorted`` on the
+    ascending faces, key for key."""
+
+    @pytest.mark.parametrize("which", ["entry", "tops"])
+    def test_matches_searchsorted(self, name, which):
+        geo = STACKS[name]
+        if which == "entry":
+            faces, dtype = geo._faces_ascending, geo._code_type
+        else:
+            faces, dtype = geo._tops, geo._count_type
+        z = _face_keys(faces)
+        z = np.concatenate([z, np.random.default_rng(47).uniform(-60, 10, 5000)])
+        got = _faces_below(z, faces, dtype)
+        want = np.searchsorted(np.sort(faces), z)
+        assert got.dtype == dtype and dtype.kind == "u"
+        np.testing.assert_array_equal(got, want)
+        # NaN sorts last: it counts every face.
+        assert got[np.isnan(z)].tolist() == [faces.size]
+
+    def test_duplicate_faces_count_alike(self, name):
+        geo = STACKS[name]
+        faces = geo._faces_ascending
+        shared = faces[1:][faces[1:] == faces[:-1]]
+        assert (shared.size > 0) == (name == "gap0")
+        z = _face_keys(shared)
+        np.testing.assert_array_equal(
+            _faces_below(z, faces, geo._code_type), np.searchsorted(faces, z)
+        )
+
+    def test_signed_zero_face(self, name):
+        # The top face is +0.0: -0.0 is at it, not above it.
+        geo = STACKS[name]
+        assert geo.z_top == 0.0
+        z = np.array([-0.0, 0.0, 5e-324, -5e-324])
+        got = _faces_below(z, geo._faces_ascending, geo._code_type)
+        np.testing.assert_array_equal(got, np.searchsorted(geo._faces_ascending, z))
+        assert got[0] == got[1] == geo._faces_ascending.size - 1
+
+    def test_empty_keys(self, name):
+        geo = STACKS[name]
+        got = _faces_below(np.empty(0), geo._faces_ascending, geo._code_type)
+        assert got.shape == (0,) and got.dtype == geo._code_type
 
 
 class TestSegmentIntersections:

@@ -67,9 +67,20 @@ class TestMergedTelemetry:
             "transport.photons",
             "transport.rays_walked",
             "transport.rays_full_walk",
+            "transport.generations",
+            "response.hits",
+            "response.hits_merged",
+            "response.hits_measured",
         ):
             assert (pooled_metrics["counters"][name]
                     == serial_metrics["counters"][name]), name
+        # Some hits merge, and only photons with two or more merged hits
+        # are measured.
+        counters = serial_metrics["counters"]
+        assert 0 < counters["response.hits_merged"] < counters["response.hits"]
+        assert 0 < counters["response.hits_measured"] < counters["response.hits"]
+        # At least one generation per trial, at most the cap.
+        assert 8 <= counters["transport.generations"] <= 8 * 12
         # Most walked rays are settled in the slab they enter first.
         walked = serial_metrics["counters"]["transport.rays_walked"]
         full = serial_metrics["counters"]["transport.rays_full_walk"]

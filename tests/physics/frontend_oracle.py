@@ -3,12 +3,13 @@ and digitization in their straightforward forms.
 
 These build every frame with ``np.cross`` / ``np.linalg.norm`` over
 ``(n, 3)`` arrays, look layers up one layer at a time, test every
-neighbour pair when merging hits, and run the whole measurement chain on
-every merged hit.  The production code forms the frames column by
-column, finds the layer with one ``searchsorted``, tests only
-same-photon pairs and measures only hits of photons that can still form
-an event.  The oracle tests assert that both give the same bits and
-leave the random stream in the same state.
+neighbour pair and sum every hit with ``np.bincount`` when merging hits,
+and run the whole measurement chain, gain map included, on every merged
+hit.  The production code forms the frames column by column, finds the
+layer by counting faces, tests only same-photon pairs, adds only the
+hits that merge, forms the gain in place and measures only hits of
+photons that can still form an event.  The oracle tests assert that
+both give the same bits and leave the random stream in the same state.
 """
 
 from __future__ import annotations
@@ -168,6 +169,14 @@ def measure_position_oracle(
     return measured, sigma
 
 
+def gain_map_oracle(response: DetectorResponse, positions: np.ndarray) -> np.ndarray:
+    """The light-collection gain as one expression of fresh temporaries."""
+    cfg = response.config
+    x, y = positions[:, 0], positions[:, 1]
+    w = 2.0 * np.pi / cfg.nonuniformity_period_cm
+    return 1.0 + cfg.nonuniformity_amplitude * np.sin(w * x) * np.sin(w * y)
+
+
 def measure_energy_oracle(
     response: DetectorResponse,
     true_energy: np.ndarray,
@@ -176,7 +185,7 @@ def measure_energy_oracle(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The energy chain drawn and applied over every hit in one pass."""
     cfg = response.config
-    gain = response.gain_map(positions)
+    gain = gain_map_oracle(response, positions)
     expected_pe = np.maximum(true_energy * gain, 0.0) * cfg.pe_per_mev
     if cfg.sipm is not None:
         charges = cfg.sipm.detect(expected_pe / cfg.sipm.pde, rng)

@@ -121,6 +121,34 @@ class TestSampleKleinNishina:
         assert np.array_equal(a, b)
 
 
+class TestSampleKleinNishinaOracle:
+    """One ``(3, m)`` uniform draw per round equals three size-``m``
+    calls: the same values, and the stream left in the same state."""
+
+    @pytest.mark.parametrize("m", [0, 1, 7, 20000])
+    def test_matches_three_call_loop(self, m):
+        from tests.physics.transport_oracle import sample_klein_nishina_oracle
+
+        energy = np.geomspace(0.01, 30.0, max(m, 1))[:m]
+        energy = np.random.default_rng(m).permutation(energy)
+        rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+        got = sample_klein_nishina(energy, rng_new)
+        want = sample_klein_nishina_oracle(energy, rng_ref)
+        assert got.shape == want.shape == (m,)
+        assert got.tobytes() == want.tobytes()
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("energy", [0.01, 0.511, 30.0])
+    def test_energy_extremes(self, energy):
+        from tests.physics.transport_oracle import sample_klein_nishina_oracle
+
+        e = np.full(257, energy)
+        rng_new, rng_ref = np.random.default_rng(6), np.random.default_rng(6)
+        got = sample_klein_nishina(e, rng_new)
+        assert got.tobytes() == sample_klein_nishina_oracle(e, rng_ref).tobytes()
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
 class TestRotateDirections:
     def test_preserves_unit_norm(self):
         rng = np.random.default_rng(0)

@@ -89,3 +89,74 @@ class TestInteractionProbabilities:
         assert p_c_mid > p_c_low
         p_pp_high = interaction_probabilities(np.array([30.0]), CSI)[2][0]
         assert p_pp_high > 0.1
+
+
+class TestCrossSectionOracles:
+    """The log taken only above the pair threshold, and the Klein--Nishina
+    total with its repeated subexpressions formed once, change no bit."""
+
+    ENERGIES = np.concatenate(
+        [
+            np.geomspace(0.01, 30.0, 4001),
+            [
+                PAIR_THRESHOLD_MEV,
+                np.nextafter(PAIR_THRESHOLD_MEV, 0.0),
+                np.nextafter(PAIR_THRESHOLD_MEV, np.inf),
+                0.0,
+                -1.0,
+                np.inf,
+                np.nan,
+            ],
+        ]
+    )
+
+    @pytest.mark.parametrize("material", [CSI, PLASTIC], ids=["csi", "plastic"])
+    def test_pair_mu_matches_oracle(self, material):
+        from tests.physics.transport_oracle import pair_mu_oracle
+
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want = pair_mu_oracle(self.ENERGIES, material)
+        got = pair_mu(self.ENERGIES, material)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # At and below the threshold exactly 0.0; one ulp above, positive.
+        at = np.nonzero(self.ENERGIES == PAIR_THRESHOLD_MEV)[0]
+        assert got[at].tolist() == [0.0]
+        assert got[-5] > 0.0
+
+    def test_pair_mu_of_scalars(self):
+        from tests.physics.transport_oracle import pair_mu_oracle
+
+        for e in (0.5, PAIR_THRESHOLD_MEV, 3.0):
+            assert pair_mu(e, CSI) == pair_mu_oracle(e, CSI)
+            assert np.ndim(pair_mu(e, CSI)) == 0
+
+    def test_pair_log_only_above_threshold(self, monkeypatch):
+        """The log sees exactly the energies above 2 m_e."""
+        import repro.physics.crosssections as xs
+
+        seen = []
+
+        class _Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def log(x, *args, **kwargs):
+                seen.append(np.array(x, copy=True))
+                return np.log(x, *args, **kwargs)
+
+        monkeypatch.setattr(xs, "np", _Numpy())
+        energies = self.ENERGIES[np.isfinite(self.ENERGIES)]
+        xs.pair_mu(energies, CSI)
+        above = energies[energies > PAIR_THRESHOLD_MEV]
+        assert len(seen) == 1
+        assert seen[0].tobytes() == (above / PAIR_THRESHOLD_MEV).tobytes()
+
+    def test_klein_nishina_total_matches_oracle(self):
+        from tests.physics.transport_oracle import klein_nishina_total_oracle
+
+        energies = self.ENERGIES[:-3]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want = klein_nishina_total_oracle(energies)
+            got = klein_nishina_total(energies)
+        assert got.tobytes() == want.tobytes()

@@ -1,5 +1,7 @@
 """Tests for photon energy spectra."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -92,3 +94,85 @@ class TestBand:
         assert spec.e_min < m < spec.e_max
         # Band spectra are soft: the mean sits well below 1 MeV.
         assert m < 1.0
+
+
+def _uncached_band_sample(spec, n, rng):
+    """The inverse-CDF draw with its table rebuilt from the spectrum."""
+    grid = np.geomspace(spec.e_min, spec.e_max, 4096)
+    pdf = spec.pdf_unnormalized(grid)
+    dcdf = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid)
+    cdf = np.concatenate([[0.0], np.cumsum(dcdf)])
+    cdf /= cdf[-1]
+    return np.interp(rng.uniform(0.0, 1.0, size=n), cdf, grid)
+
+
+def _uncached_mean_energy(spec):
+    grid = np.geomspace(spec.e_min, spec.e_max, 8192)
+    pdf = spec.pdf_unnormalized(grid)
+    norm = max(np.trapezoid(pdf, grid), np.finfo(np.float64).tiny)
+    return float(np.trapezoid(grid * pdf, grid) / norm)
+
+
+class TestSpectrumTables:
+    """Inverse-CDF tables and means are built once per distinct spectrum."""
+
+    @pytest.mark.parametrize(
+        "kw", [{}, {"alpha": -1.1, "e_peak": 2.5}, {"e_min": 0.05, "e_max": 10.0}]
+    )
+    def test_draws_equal_the_uncached_computation(self, kw):
+        spec = BandSpectrum(**kw)
+        rng_new, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
+        got = spec.sample(5000, rng_new)
+        want = _uncached_band_sample(BandSpectrum(**kw), 5000, rng_ref)
+        assert got.tobytes() == want.tobytes()
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        assert spec.mean_energy() == _uncached_mean_energy(BandSpectrum(**kw))
+
+    def test_equal_instances_share_a_table(self):
+        from repro.physics.spectra import _inverse_cdf
+
+        a, b = BandSpectrum(e_peak=0.7), BandSpectrum(e_peak=0.7)
+        assert a is not b and a == b and hash(a) == hash(b)
+        a.sample(10, np.random.default_rng(0))
+        hits = _inverse_cdf.cache_info().hits
+        b.sample(10, np.random.default_rng(0))
+        assert _inverse_cdf.cache_info().hits == hits + 1
+        table = _inverse_cdf(a)
+        assert table is _inverse_cdf(b)
+        assert not table[0].flags.writeable and not table[1].flags.writeable
+
+    def test_a_drawn_spectrum_cannot_change_shape(self):
+        spec = BandSpectrum(e_peak=0.5)
+        before = spec.sample(2000, np.random.default_rng(9))
+        mean_before = spec.mean_energy()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.e_peak = 3.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            PowerLawSpectrum().index = -1.0
+        assert spec == BandSpectrum(e_peak=0.5)
+        assert spec.sample(2000, np.random.default_rng(9)).tobytes() == before.tobytes()
+        assert spec.mean_energy() == mean_before
+
+    def test_changed_parameters_get_the_new_table(self):
+        spec = BandSpectrum(e_peak=0.5)
+        before = spec.sample(2000, np.random.default_rng(9))
+        mean_before = spec.mean_energy()
+        changed = dataclasses.replace(spec, e_peak=3.0)
+        fresh = BandSpectrum(e_peak=3.0)
+        assert (changed._e0, changed._e_break, changed._join) == (
+            fresh._e0, fresh._e_break, fresh._join
+        )
+        got = changed.sample(2000, np.random.default_rng(9))
+        want = _uncached_band_sample(fresh, 2000, np.random.default_rng(9))
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() != before.tobytes()
+        assert changed.mean_energy() == _uncached_mean_energy(fresh)
+        assert changed.mean_energy() > mean_before
+
+    def test_cache_is_bounded(self):
+        from repro.physics.spectra import TABLE_CACHE_SIZE, _inverse_cdf
+
+        for k in range(TABLE_CACHE_SIZE + 5):
+            BandSpectrum(e_peak=0.1 + 0.01 * k).sample(1, np.random.default_rng(k))
+        assert _inverse_cdf.cache_info().currsize <= TABLE_CACHE_SIZE
+        assert _inverse_cdf.cache_info().maxsize == TABLE_CACHE_SIZE

@@ -249,13 +249,17 @@ class TestTransportOracle:
 
     # The recipe's polar angle, then a burst from the zenith (entering
     # mostly through the top face) and one at 85 degrees (mostly through
-    # the sides, at every height of the stack).
+    # the sides, at every height of the stack), each at the lowest and
+    # the highest fluence (fig9's 0.1 and 1.2 MeV/cm^2 on ADAPT).
     @pytest.mark.parametrize(
         "k, polar",
         [
             *(pytest.param(k, None, id=str(k)) for k in range(4)),
-            pytest.param(3, 0.0, id="3-polar0"),
-            pytest.param(3, 85.0, id="3-polar85"),
+            *(
+                pytest.param(k, polar, id=f"{k}-polar{polar:.0f}")
+                for k in (0, 3)
+                for polar in (0.0, 85.0)
+            ),
         ],
     )
     @pytest.mark.parametrize("instrument", ["adapt", "apt"])

@@ -1,23 +1,26 @@
 """Reference transport: the per-layer slab loop and the sorted walk.
 
 These are the straightforward forms of ``segment_intersections``,
-``_material_path_to_geometric`` and ``transport_photons``: every layer
-tested on its own, every ray's intervals sorted by entry distance, and
-every live photon walked through the slab stack, each scatter turned in
-an ``np.cross`` frame.  The production code culls rays that miss the
-stack's bounding box, tests the lateral extent once per ray, walks the
-slabs in z order instead of sorting and builds scatter frames column by
-column.  The oracle tests assert that both give the same bits.
+``_material_path_to_geometric``, the cross sections, the Klein--Nishina
+sampler and ``transport_photons``: every layer tested on its own, every
+ray's intervals sorted by entry distance, the pair log taken at every
+energy, three uniform draws per rejection round, and every live photon
+walked through the slab stack, each scatter turned in an ``np.cross``
+frame.  The production code culls rays that miss the stack's bounding
+box, tests the lateral extent once per ray, walks the slabs in z order
+instead of sorting, logs only energies above the pair threshold, draws
+a round's uniforms at once and builds scatter frames column by column.
+The oracle tests assert that both give the same bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.constants import CSI, Material
+from repro.constants import CLASSICAL_ELECTRON_RADIUS_CM, CSI, ELECTRON_MASS_MEV, Material
 from repro.geometry.tiles import DetectorGeometry
-from repro.physics.compton import sample_klein_nishina, scattered_energy
-from repro.physics.crosssections import interaction_probabilities, total_mu
+from repro.physics.compton import scattered_energy
+from repro.physics.crosssections import PAIR_THRESHOLD_MEV, photoelectric_mu
 from repro.physics.transport import (
     ABSORB_CUTOFF_MEV,
     FATE_ABSORBED,
@@ -27,6 +30,80 @@ from repro.physics.transport import (
     TransportResult,
 )
 from tests.physics.frontend_oracle import rotate_directions_oracle
+
+
+def klein_nishina_total_oracle(energy: np.ndarray) -> np.ndarray:
+    """The closed-form Klein--Nishina total cross section, every
+    subexpression formed where it appears."""
+    energy = np.asarray(energy, dtype=np.float64)
+    k = np.maximum(energy / ELECTRON_MASS_MEV, 1e-30)
+    one_2k = 1.0 + 2.0 * k
+    log_term = np.log1p(2.0 * k)
+    return (
+        2.0
+        * np.pi
+        * CLASSICAL_ELECTRON_RADIUS_CM**2
+        * (
+            (1.0 + k) / k**2 * (2.0 * (1.0 + k) / one_2k - log_term / k)
+            + log_term / (2.0 * k)
+            - (1.0 + 3.0 * k) / one_2k**2
+        )
+    )
+
+
+def pair_mu_oracle(energy: np.ndarray, material: Material) -> np.ndarray:
+    """Pair attenuation with the log taken at every energy."""
+    energy = np.asarray(energy, dtype=np.float64)
+    ramp = np.where(
+        energy > PAIR_THRESHOLD_MEV,
+        np.log(np.maximum(energy, PAIR_THRESHOLD_MEV) / PAIR_THRESHOLD_MEV),
+        0.0,
+    )
+    return (
+        material.density_g_cm3
+        * 9.2e-4
+        * (material.z_eff**2 / material.a_eff)
+        * ramp
+    )
+
+
+def mu_oracle(energy: np.ndarray, material: Material) -> tuple[np.ndarray, np.ndarray]:
+    """``(mu_compton, mu)``: the Compton and total attenuation, summed as
+    ``(compton + photoelectric) + pair`` and floored at ``tiny``."""
+    mu_c = klein_nishina_total_oracle(energy) * material.electron_density_cm3
+    mu = mu_c + photoelectric_mu(energy, material) + pair_mu_oracle(energy, material)
+    return mu_c, np.maximum(mu, np.finfo(np.float64).tiny)
+
+
+def sample_klein_nishina_oracle(
+    energy: np.ndarray, rng: np.random.Generator, max_rounds: int = 256
+) -> np.ndarray:
+    """Kahn's rejection sampler with three size-``m`` uniform calls per
+    round and every subexpression formed where it appears."""
+    energy = np.atleast_1d(np.asarray(energy, dtype=np.float64))
+    out = np.empty(energy.shape[0])
+    pending = np.arange(energy.shape[0])
+    alpha_all = energy / ELECTRON_MASS_MEV
+    for _ in range(max_rounds):
+        if pending.size == 0:
+            return out
+        m = pending.size
+        a = alpha_all[pending]
+        r1 = rng.uniform(size=m)
+        r2 = rng.uniform(size=m)
+        r3 = rng.uniform(size=m)
+        branch1 = r1 <= (1.0 + 2.0 * a) / (9.0 + 2.0 * a)
+        eta = np.where(
+            branch1, 1.0 + 2.0 * a * r2, (1.0 + 2.0 * a) / (1.0 + 2.0 * a * r2)
+        )
+        cos_t = 1.0 - (eta - 1.0) / a
+        accept_p = np.where(
+            branch1, 4.0 * (1.0 / eta - 1.0 / eta**2), 0.5 * (cos_t**2 + 1.0 / eta)
+        )
+        accept = r3 <= accept_p
+        out[pending[accept]] = cos_t[accept]
+        pending = pending[~accept]
+    raise RuntimeError("Klein-Nishina rejection sampling did not converge")
 
 
 def segment_intersections_loop(
@@ -131,7 +208,7 @@ def transport_photons_oracle(
         e = energies[live_idx]
 
         t_in, t_out = segment_intersections_loop(geometry, pos, dirs)
-        mu = np.maximum(total_mu(e, material), np.finfo(np.float64).tiny)
+        mu_c, mu = mu_oracle(e, material)
         required = rng.exponential(1.0, size=live_idx.size) / mu
         t_star, escaped = material_path_to_geometric_sorted(t_in, t_out, required)
 
@@ -150,7 +227,7 @@ def transport_photons_oracle(
         origins[act_idx] = new_pos
         e_act = e[act]
 
-        p_c, _p_pe, _p_pp = interaction_probabilities(e_act, material)
+        p_c = mu_c[act] / mu[act]
         u = rng.uniform(0.0, 1.0, size=act_idx.size)
         is_compton = u < p_c
         edep = np.empty(act_idx.size, dtype=np.float64)
@@ -158,7 +235,7 @@ def transport_photons_oracle(
 
         if np.any(is_compton):
             ci = np.nonzero(is_compton)[0]
-            cos_t = sample_klein_nishina(e_act[ci], rng)
+            cos_t = sample_klein_nishina_oracle(e_act[ci], rng)
             e_sc = scattered_energy(e_act[ci], cos_t)
             low = e_sc < absorb_cutoff_mev
             edep[ci] = np.where(low, e_act[ci], e_act[ci] - e_sc)

@@ -42,3 +42,20 @@ class TestFRED:
     def test_invalid_timescales(self):
         with pytest.raises(ValueError):
             FREDLightCurve(t_rise_s=0.0)
+
+
+class TestFREDTable:
+    """FRED draws interpolate the 2048-point inverse-CDF table bit for bit."""
+
+    def test_draws_equal_the_inverse_cdf_table(self):
+        lc = FREDLightCurve(duration_s=0.4, t_rise_s=0.02, t_decay_s=0.1)
+        t = np.linspace(0.0, 0.4, 2048)
+        intensity = (t / 0.02) * np.exp(-t / 0.1)
+        cdf = np.concatenate(
+            [[0.0], np.cumsum(0.5 * (intensity[1:] + intensity[:-1]) * np.diff(t))]
+        )
+        cdf /= cdf[-1]
+        rng_new, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+        got = lc.sample(3000, rng_new)
+        want = np.interp(rng_ref.uniform(0.0, 1.0, size=3000), cdf, t)
+        assert got.tobytes() == want.tobytes()
